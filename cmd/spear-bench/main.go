@@ -1,7 +1,7 @@
 // Command spear-bench runs the repository's performance trajectory suite —
 // the hot paths whose regressions matter: single-row and batched network
 // inference, batched REINFORCE backprop, and the MCTS decision loop at
-// several root- and tree-parallelism degrees plus a 4-machine cluster cell
+// several tree-parallelism degrees plus a 4-machine cluster cell
 // — and writes the results as one JSON document (BENCH_spear.json at the
 // repo root) so successive commits can be compared.
 //
@@ -42,7 +42,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// SimsPerSec is the rollout throughput for search benchmarks (zero
-	// elsewhere) — the metric the root-parallel acceptance target is
+	// elsewhere) — the metric the tree-parallel acceptance target is
 	// phrased in.
 	SimsPerSec float64 `json:"sims_per_sec,omitempty"`
 	// RowsPerSec is the row throughput for batched-inference benchmarks.
@@ -129,7 +129,7 @@ func run() error {
 		}))
 	}
 
-	// Batched inference: the root-parallel / lock-step rollout fast path.
+	// Batched inference: the lock-step rollout fast path.
 	{
 		scratch := net.NewScratch()
 		in := net.InputSize()
@@ -194,20 +194,10 @@ func run() error {
 		report.Results = append(report.Results, r)
 	}
 
-	// The MCTS decision loop with DRL rollouts at increasing root
-	// parallelism. SimsPerSec here is the acceptance metric: on a >=4-core
-	// machine K=4 should reach >=1.8x the K=1 rate.
-	for _, k := range []int{1, 2, 4} {
-		searchCell(fmt.Sprintf("mcts_schedule_root_k%d", k), cluster.Single(capacity), mcts.Config{
-			InitialBudget: budget, MinBudget: minBudget, Seed: 1,
-			Rollout: agent, Window: feat.Window,
-			RootParallelism: k,
-		})
-	}
-
-	// Tree parallelism: J workers sharing one arena-allocated tree. The
-	// J=4 row is the shared-tree acceptance metric (>=2x the J=1 rate on a
-	// >=4-core machine).
+	// The MCTS decision loop with DRL rollouts at increasing tree
+	// parallelism: J workers sharing one arena-allocated tree. SimsPerSec
+	// here is the acceptance metric: the J=4 row should reach >=2x the J=1
+	// rate on a >=4-core machine.
 	for _, j := range []int{1, 2, 4} {
 		searchCell(fmt.Sprintf("mcts_schedule_tree_j%d", j), cluster.Single(capacity), mcts.Config{
 			InitialBudget: budget, MinBudget: minBudget, Seed: 1,

@@ -39,8 +39,7 @@ func run() error {
 		csvDir    = flag.String("csv-dir", "", "also write each experiment's raw data as CSV into this directory")
 		metrics   = flag.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
 		jobs      = flag.Int("j", 1, "run independent experiment cells on this many workers (reports still print in paper order)")
-		rootPar   = flag.Int("root-parallel", 1, "root-parallel MCTS trees per decision in every search-based scheduler")
-		treePar   = flag.Int("tree-parallel", 1, "shared-tree workers per MCTS tree in every search-based scheduler")
+		treePar   = flag.Int("tree-parallel", 1, "shared-tree MCTS workers in every search-based scheduler")
 	)
 	flag.Parse()
 
@@ -53,7 +52,6 @@ func run() error {
 
 	suite := experiments.NewSuite(*seed)
 	suite.Full = *full
-	suite.RootParallelism = *rootPar
 	suite.TreeParallelism = *treePar
 	if *verbose {
 		suite.Log = os.Stderr

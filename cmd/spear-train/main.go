@@ -42,7 +42,7 @@ func run() error {
 		metrics        = flag.Bool("metrics", false, "print a Prometheus-format training metrics snapshot after the run")
 		evalJobs       = flag.Int("eval", 0, "after training, run guided search on this many held-out jobs and report mean makespan")
 		evalBudget     = flag.Int("eval-budget", 100, "search budget per decision for -eval")
-		treePar        = flag.Int("tree-parallel", 1, "shared-tree search workers per tree for -eval")
+		treePar        = flag.Int("tree-parallel", 1, "shared-tree search workers for -eval")
 	)
 	flag.Parse()
 

@@ -38,14 +38,9 @@ type Config struct {
 	// from the policy distribution. Sampling (default) preserves rollout
 	// diversity across MCTS iterations.
 	GreedyRollout bool
-	// RootParallelism runs this many independent search trees per decision
-	// (root parallelization), splitting each decision's budget across them
-	// and merging their root statistics to pick the action. Default 1.
-	RootParallelism int
-	// TreeParallelism runs this many workers inside each search tree (tree
+	// TreeParallelism runs this many workers inside the search tree (tree
 	// parallelization): they share one arena-allocated tree with atomic
-	// statistics and virtual losses. Composes with RootParallelism (K trees
-	// × J workers). Default 1, the exact serial search.
+	// statistics and virtual losses. Default 1, the exact serial search.
 	TreeParallelism int
 	// UseTranspositions pools search statistics across nodes that reach the
 	// same episode state via different schedule orders (transposition
@@ -86,7 +81,7 @@ var _ sched.ContextScheduler = (*Spear)(nil)
 // simenv.ContextPolicy and simenv.BatchPolicy, so the search automatically
 // runs rollouts through the allocation-free inference fast path (and, with
 // RolloutsPerExpansion > 1, lock-steps them through batched network passes);
-// each root-parallel tree worker gets a private expander from the factory.
+// each shared-tree worker gets a private expander from the factory.
 func New(net *nn.Network, feat drl.Features, cfg Config) (*Spear, error) {
 	cfg = cfg.normalized()
 	rolloutAgent, err := drl.NewAgent(net, feat, cfg.GreedyRollout)
@@ -104,11 +99,10 @@ func New(net *nn.Network, feat drl.Features, cfg Config) (*Spear, error) {
 		Rollout:          rolloutAgent,
 		Expand:           drl.NewExpander(expandAgent),
 		// The DRL expander carries private inference buffers, so every
-		// root-parallel tree worker builds its own from the factory.
+		// shared-tree worker builds its own from the factory.
 		NewExpander:          func() mcts.Expander { return drl.NewExpander(expandAgent) },
 		Window:               feat.Window,
 		Seed:                 cfg.Seed,
-		RootParallelism:      cfg.RootParallelism,
 		TreeParallelism:      cfg.TreeParallelism,
 		UseTranspositions:    cfg.UseTranspositions,
 		RolloutsPerExpansion: cfg.RolloutsPerExpansion,

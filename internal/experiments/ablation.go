@@ -46,7 +46,7 @@ func (s *Suite) Ablation() (*AblationResult, error) {
 		return nil, err
 	}
 
-	base := mcts.Config{InitialBudget: budget, MinBudget: minBudget, Window: feat.Window, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs}
+	base := mcts.Config{InitialBudget: budget, MinBudget: minBudget, Window: feat.Window, Seed: s.Seed, TreeParallelism: s.TreeParallelism, Obs: s.Obs}
 	variants := []sched.Scheduler{
 		mcts.NewNamed("MCTS (random/random)", base),
 		mcts.NewNamed("MCTS +DRL expand", withExpand(base, drl.NewExpander(greedy))),

@@ -64,7 +64,7 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 	for _, budget := range budgets {
 		s.logf("fig7: budget %d\n", budget)
 		point := Fig7Point{Budget: budget, Jobs: len(graphs), TetrisMean: tetrisMean}
-		searcher := mcts.New(mcts.Config{InitialBudget: budget, MinBudget: 5, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
+		searcher := mcts.New(mcts.Config{InitialBudget: budget, MinBudget: 5, Seed: s.Seed, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
 		var makespans []int64
 		var elapsedMS []float64
 		for i, g := range graphs {

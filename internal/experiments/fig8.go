@@ -37,7 +37,7 @@ func (s *Suite) Fig8a() (*Fig8aResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pure := mcts.New(mcts.Config{InitialBudget: mctsBudget, MinBudget: mctsBudget / 10, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
+	pure := mcts.New(mcts.Config{InitialBudget: mctsBudget, MinBudget: mctsBudget / 10, Seed: s.Seed, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
 	schedulers := append([]sched.Scheduler{pure, spear}, baselineSet()...)
 	results, err := runAll(graphs, capacity, schedulers, s.logf)
 	if err != nil {

@@ -54,7 +54,7 @@ func (s *Suite) Gap() (*GapResult, error) {
 		return nil, err
 	}
 	schedulers := append([]sched.Scheduler{
-		mcts.New(mcts.Config{InitialBudget: 500, MinBudget: 100, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs}),
+		mcts.New(mcts.Config{InitialBudget: 500, MinBudget: 100, Seed: s.Seed, TreeParallelism: s.TreeParallelism, Obs: s.Obs}),
 		spear,
 	}, baselineSet()...)
 	results, err := runAll(graphs, capacity, schedulers, s.logf)

@@ -71,7 +71,6 @@ func (s *Suite) shadowSuite(log io.Writer) *Suite {
 		Net:             s.Net,
 		ModelCfg:        s.ModelCfg,
 		Log:             log,
-		RootParallelism: s.RootParallelism,
 		TreeParallelism: s.TreeParallelism,
 		curve:           s.curve,
 	}

@@ -49,14 +49,10 @@ type Suite struct {
 	// suite constructs registers into, so one snapshot aggregates the whole
 	// run (the -metrics flag of cmd/spear-experiments).
 	Obs *obs.Registry
-	// RootParallelism is threaded into every MCTS-backed scheduler the suite
-	// builds (Spear and pure MCTS alike): each decision runs this many
-	// independent root-parallel trees, splitting the budget across them.
-	// Zero or one keeps the classic single tree.
-	RootParallelism int
-	// TreeParallelism is likewise threaded into every MCTS-backed scheduler:
-	// each tree is searched by this many shared-tree workers (virtual loss,
-	// atomic statistics). Zero or one keeps the serial per-tree search.
+	// TreeParallelism is threaded into every MCTS-backed scheduler the suite
+	// builds (Spear and pure MCTS alike): the search tree is searched by
+	// this many shared-tree workers (virtual loss, atomic statistics). Zero
+	// or one keeps the serial search.
 	TreeParallelism int
 
 	curve []drl.EpochStats
@@ -151,7 +147,6 @@ func (s *Suite) spear(initialBudget, minBudget int) (*core.Spear, error) {
 		InitialBudget:   initialBudget,
 		MinBudget:       minBudget,
 		Seed:            s.Seed,
-		RootParallelism: s.RootParallelism,
 		TreeParallelism: s.TreeParallelism,
 		Obs:             s.Obs,
 	})

@@ -36,7 +36,7 @@ func (s *Suite) Table1() (*Table1Result, error) {
 		row := make([]time.Duration, 0, len(budgets))
 		for _, budget := range budgets {
 			s.logf("table1: size %d budget %d\n", size, budget)
-			searcher := mcts.New(mcts.Config{InitialBudget: budget, MinBudget: budget / 10, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
+			searcher := mcts.New(mcts.Config{InitialBudget: budget, MinBudget: budget / 10, Seed: s.Seed, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
 			out, err := searcher.Schedule(graphs[0], cluster.Single(capacity))
 			if err != nil {
 				return nil, err

@@ -183,53 +183,47 @@ func bodyOf(node *funcNode) *ast.BlockStmt {
 
 // transitivePolls propagates the direct-poll fact over the graph: a function
 // polls transitively when its body polls or any callee (dynamic edges by
-// name) does. In-progress nodes resolve to false, so recursive cycles
-// without a poll stay unpolled.
+// name) does. It is computed as reverse reachability from the directly
+// polling functions over the reversed static and by-name edges, so the
+// verdict is independent of visiting order and recursive cycles need no
+// in-progress state: a cycle polls exactly when some member reaches a poll.
 func transitivePolls(g *callGraph) map[*types.Func]bool {
 	byName := make(map[string][]*funcNode)
 	for _, node := range g.nodes {
 		byName[node.fn.Name()] = append(byName[node.fn.Name()], node)
 	}
-	memo := make(map[*funcNode]int) // 0 unknown, 1 in progress, 2 no, 3 yes
-	var polls func(*funcNode) bool
-	polls = func(node *funcNode) bool {
-		switch memo[node] {
-		case 1, 2:
-			return false
-		case 3:
-			return true
+	callers := make(map[*funcNode][]*funcNode)
+	var work []*funcNode
+	for _, node := range g.nodes {
+		if node.polls {
+			work = append(work, node)
 		}
-		memo[node] = 1
-		result := node.polls
-		if !result {
-		scan:
-			for _, cs := range node.calls {
-				switch {
-				case cs.callee != nil:
-					if callee := g.nodes[cs.callee]; callee != nil && polls(callee) {
-						result = true
-						break scan
-					}
-				case cs.method != "":
-					for _, target := range byName[cs.method] {
-						if polls(target) {
-							result = true
-							break scan
-						}
-					}
+		for _, cs := range node.calls {
+			switch {
+			case cs.callee != nil:
+				if callee := g.nodes[cs.callee]; callee != nil {
+					callers[callee] = append(callers[callee], node)
+				}
+			case cs.method != "":
+				for _, target := range byName[cs.method] {
+					callers[target] = append(callers[target], node)
 				}
 			}
 		}
-		if result {
-			memo[node] = 3
-		} else {
-			memo[node] = 2
-		}
-		return result
 	}
 	out := make(map[*types.Func]bool)
-	for _, node := range g.nodes {
-		out[node.fn] = polls(node)
+	for _, node := range work {
+		out[node.fn] = true
+	}
+	for len(work) > 0 {
+		node := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, caller := range callers[node] {
+			if !out[caller.fn] {
+				out[caller.fn] = true
+				work = append(work, caller)
+			}
+		}
 	}
 	return out
 }

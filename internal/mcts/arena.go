@@ -90,7 +90,7 @@ type arenaTable struct {
 	stats [][]nodeStats
 }
 
-// nodeArena owns one tree worker's node and stats storage. alloc/allocStats
+// nodeArena owns the search tree's node and stats storage. alloc/allocStats
 // are safe for concurrent use (expansion under latches); release,
 // releaseSubtree and reset run only in the single-threaded spans between
 // search phases. Slots keep their env and untried buffers when freed or

@@ -110,7 +110,7 @@ func TestSteadyStateSearchAllocFreeTranspositions(t *testing.T) {
 	if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
 		t.Fatal(err)
 	}
-	tw := s.workers[0]
+	tw := s.tree
 	sw := tw.sims[0]
 	env, err := simenv.New(g, capacity, simenv.Config{Mode: simenv.NextCompletion})
 	if err != nil {
@@ -132,13 +132,14 @@ func TestSteadyStateSearchAllocFreeTranspositions(t *testing.T) {
 }
 
 // TestTranspositionTableBounded pins the capacity mechanism: a tiny
-// TTCapacity forces flush evictions that reach Stats and the metric
+// table capacity forces flush evictions that reach Stats and the metric
 // counter, the live map never exceeds the bound, and the search stays
 // correct because flushed entries only cost extra misses.
 func TestTranspositionTableBounded(t *testing.T) {
 	g, capacity := smallRandomDAG(8, 25)
 	const ttCap = 32
-	s := New(Config{InitialBudget: 150, MinBudget: 30, Seed: 2, UseTranspositions: true, TTCapacity: ttCap})
+	s := New(Config{InitialBudget: 150, MinBudget: 30, Seed: 2, UseTranspositions: true})
+	s.ttCap = ttCap
 	out, err := s.Schedule(g, cluster.Single(capacity))
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestTranspositionTableBounded(t *testing.T) {
 	if st.TTMisses == 0 {
 		t.Error("no TT misses recorded")
 	}
-	if n := len(s.workers[0].tt.m); n > ttCap {
+	if n := len(s.tree.tt.m); n > ttCap {
 		t.Errorf("table holds %d entries, capacity is %d", n, ttCap)
 	}
 	if got := s.sm.TTEvictions.Load(); got != st.TTEvictions {
@@ -161,19 +162,19 @@ func TestTranspositionTableBounded(t *testing.T) {
 	}
 }
 
-// TestTranspositionCapacityDefault pins the sizing rule: an unset capacity
-// derives from the iteration budget, and a negative one means unbounded.
+// TestTranspositionCapacityDefault pins the sizing rule: the capacity
+// derives from the iteration budget, and at that size an ordinary search
+// never flushes.
 func TestTranspositionCapacityDefault(t *testing.T) {
-	s := New(Config{InitialBudget: 100})
-	if got := s.cfg.TTCapacity; got != 64*100 {
-		t.Errorf("default TTCapacity = %d, want %d (64 x InitialBudget)", got, 64*100)
+	s := New(Config{InitialBudget: 150, MinBudget: 30, Seed: 2, UseTranspositions: true})
+	if got := s.ttCap; got != 64*150 {
+		t.Errorf("table capacity = %d, want %d (64 x InitialBudget)", got, 64*150)
 	}
 	g, capacity := smallRandomDAG(8, 25)
-	unbounded := New(Config{InitialBudget: 150, MinBudget: 30, Seed: 2, UseTranspositions: true, TTCapacity: -1})
-	if _, err := unbounded.Schedule(g, cluster.Single(capacity)); err != nil {
+	if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
 		t.Fatal(err)
 	}
-	if ev := unbounded.LastStats().TTEvictions; ev != 0 {
-		t.Errorf("unbounded table evicted %d entries, want 0", ev)
+	if ev := s.LastStats().TTEvictions; ev != 0 {
+		t.Errorf("budget-sized table evicted %d entries, want 0", ev)
 	}
 }

@@ -20,61 +20,6 @@ func BenchmarkSchedule30Tasks(b *testing.B) {
 	}
 }
 
-// BenchmarkRootParallel compares root-parallelism degrees on the
-// Spear-shaped hot path (policy-network rollouts). The acceptance target is
-// sims/sec scaling on multi-core runners: K=4 should reach >= 1.8x the K=1
-// rate on >= 4 cores. Each sub-benchmark reports its own sims/s.
-func BenchmarkRootParallel(b *testing.B) {
-	g, capacity := smallRandomDAG(1, 30)
-	feat := drl.Features{Window: 5, Horizon: 10, Dims: 2}
-	net, err := drl.DefaultNetwork(feat, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	agent, err := drl.NewAgent(net, feat, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 4} {
-		b.Run("K="+itoa(k), func(b *testing.B) {
-			s := New(Config{
-				InitialBudget: 40, MinBudget: 10, Seed: 1,
-				Rollout: agent, Window: feat.Window,
-				RootParallelism: k,
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rollouts int64
-			var elapsed float64
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
-					b.Fatal(err)
-				}
-				st := s.LastStats()
-				rollouts += st.Rollouts
-				elapsed += st.Elapsed.Seconds()
-			}
-			if elapsed > 0 {
-				b.ReportMetric(float64(rollouts)/elapsed, "sims/s")
-			}
-		})
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
 // BenchmarkScheduleDRLRollout measures the full Spear-shaped hot path: MCTS
 // whose rollouts run the policy network through the rollout-context fast
 // path (simenv.ContextPolicy), dominated by per-step inference.

@@ -4,21 +4,18 @@
 // max(b_initial/depth, b_min) (Eq. 4), the expansion filters that prune
 // superficial actions, and pluggable expansion/rollout policies so that the
 // DRL agent can replace the classic random policy (which is how Spear is
-// assembled in internal/core). RootParallelism adds root parallelization:
-// K independent trees share each decision's budget and their root statistics
-// are merged to pick the committed move. TreeParallelism adds tree
-// parallelization inside each tree: J workers descend one shared,
-// arena-allocated tree with atomic statistics, virtual loss to de-correlate
-// their descents, and per-node expansion latches; an optional transposition
-// table keyed by the env's canonical state hash lets states reached via
-// different schedule orders pool statistics.
+// assembled in internal/core). The search keeps one tree per Schedule call,
+// reused across decisions. TreeParallelism parallelizes it: J workers
+// descend the shared, arena-allocated tree with atomic statistics, virtual
+// loss to de-correlate their descents, and per-node expansion latches; an
+// optional transposition table keyed by the env's canonical state hash lets
+// states reached via different schedule orders pool statistics.
 package mcts
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -77,79 +74,54 @@ type Config struct {
 	// Rollout simulates from expanded nodes to termination. Default: the
 	// uniformly random policy of classic MCTS. When the policy also
 	// implements simenv.BatchPolicy, simulations with RolloutsPerExpansion
-	// > 1 run lock-stepped through batched policy evaluations (same results,
-	// fewer network passes) unless DisableBatchedRollouts is set.
+	// > 1 run lock-stepped through batched policy evaluations (same results
+	// as per-episode rollouts, fewer network passes).
 	Rollout simenv.Policy
 	// Expand orders unexplored actions during expansion. Default: uniform
-	// random. With RootParallelism or TreeParallelism > 1 every search
-	// worker shares this value, so it must be safe for concurrent use —
-	// stateful expanders should set NewExpander instead.
+	// random. With TreeParallelism > 1 every search worker shares this
+	// value, so it must be safe for concurrent use — stateful expanders
+	// should set NewExpander instead.
 	Expand Expander
 	// NewExpander, when non-nil, builds one private Expander per search
 	// worker and takes precedence over Expand. Required for expanders that
 	// carry per-search state (like the DRL expander's inference buffers)
-	// when RootParallelism or TreeParallelism > 1.
+	// when TreeParallelism > 1.
 	NewExpander func() Expander
 	// Window caps the visible ready tasks (0 = unlimited). Spear sets it to
 	// the neural network's input window.
 	Window int
-	// Seed feeds the search's private random source. Search worker (w, j)
-	// derives its own seed from Seed, the tree index w and the in-tree
-	// worker index j, so every worker explores differently while the whole
-	// search stays deterministic at TreeParallelism = 1.
+	// Seed feeds the search's private random source. Search worker j
+	// derives its own seed from Seed and j, so every worker explores
+	// differently while the whole search stays deterministic at
+	// TreeParallelism = 1.
 	Seed int64
-	// ReuseTree keeps the chosen child's subtree between decisions instead
-	// of rebuilding from scratch. Default true.
-	DisableTreeReuse bool
 	// DisableBudgetDecay spends the full InitialBudget at every decision
 	// instead of Eq. 4's max(b_initial/depth, b_min) decay — the ablation
 	// arm for the paper's budget-decay design choice.
 	DisableBudgetDecay bool
 	// RolloutsPerExpansion runs this many simulations from each expanded
 	// node instead of one, in parallel (the paper notes MCTS "can easily be
-	// parallelized" [16]; this is leaf parallelization). Each simulation's
-	// value is backpropagated. Default 1.
+	// parallelized" [16]; this is leaf parallelization). A BatchPolicy
+	// rollout lock-steps them through batched evaluations; any other policy
+	// fans them out over min(GOMAXPROCS, RolloutsPerExpansion) goroutines.
+	// Each simulation's value is backpropagated. Default 1.
 	RolloutsPerExpansion int
-	// Parallelism bounds concurrent rollout goroutines when
-	// RolloutsPerExpansion > 1 and the rollout policy has no batched path.
-	// Default GOMAXPROCS.
-	Parallelism int
-	// RootParallelism runs this many independent search trees per decision
-	// (root parallelization). The decision's Eq. 4 budget is split across
-	// the trees, their merged root statistics pick the committed action, and
-	// each tree keeps its own chosen subtree across decisions. Default 1,
-	// which preserves the exact single-tree search. Values above the legal
-	// branching factor mostly add redundancy; GOMAXPROCS is a sensible cap.
-	RootParallelism int
-	// TreeParallelism runs this many workers inside each search tree (tree
+	// TreeParallelism runs this many workers inside the search tree (tree
 	// parallelization): the workers descend one shared arena-allocated tree
 	// with atomic statistics, mark their descent paths with virtual losses
 	// (reverted on backup) so selection de-correlates, and never
-	// double-expand thanks to per-node latches. Composes with
-	// RootParallelism: K trees × J workers. Default 1, which is
-	// bit-identical to the serial single-tree search (no virtual loss is
-	// applied). With J > 1 the iteration interleaving is scheduler-
-	// dependent, so results are valid but not run-to-run deterministic.
+	// double-expand thanks to per-node latches. Default 1, which is
+	// bit-identical to the serial search (no virtual loss is applied). With
+	// J > 1 the iteration interleaving is scheduler-dependent, so results
+	// are valid but not run-to-run deterministic.
 	TreeParallelism int
 	// UseTranspositions keys every created node's statistics block by the
 	// environment's canonical state hash, so states reached via different
 	// schedule orders share one statistics entry within a Schedule call.
+	// The table holds at most 64×InitialBudget entries (see transTable).
 	// Changes search statistics (strictly more informed backups), so it is
 	// off by default to preserve the classic per-node search.
 	UseTranspositions bool
-	// TTCapacity bounds the transposition table of each tree: at capacity,
-	// the next miss flushes the whole table (deterministic wholesale
-	// eviction; see transTable) and Stats.TTEvictions counts the dropped
-	// entries. 0 sizes the bound from the search budget — 64×InitialBudget
-	// entries, comfortably above what one decision's expansions can insert
-	// while still capping a long episode's growth. Negative means
-	// unbounded.
-	TTCapacity int
-	// DisableBatchedRollouts forces per-episode rollouts even when the
-	// rollout policy implements simenv.BatchPolicy — the ablation arm for
-	// batched inference. Results are identical either way; only the number
-	// of network passes changes.
-	DisableBatchedRollouts bool
 	// Obs, when non-nil, is the registry the scheduler's metrics are
 	// registered in, so several schedulers can share (and aggregate into)
 	// one exposition endpoint. Nil means a private registry; either way
@@ -180,17 +152,8 @@ func (c Config) normalized() Config {
 	if c.RolloutsPerExpansion <= 0 {
 		c.RolloutsPerExpansion = 1
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.RootParallelism <= 0 {
-		c.RootParallelism = 1
-	}
 	if c.TreeParallelism <= 0 {
 		c.TreeParallelism = 1
-	}
-	if c.TTCapacity == 0 {
-		c.TTCapacity = 64 * c.InitialBudget
 	}
 	return c
 }
@@ -207,7 +170,7 @@ type Stats struct {
 	// Iterations is the number of search iterations run, summed across all
 	// search workers.
 	Iterations int
-	// Expansions is the number of nodes added to the search trees.
+	// Expansions is the number of nodes added to the search tree.
 	Expansions int
 	// Rollouts is the number of simulations played to termination.
 	Rollouts int64
@@ -217,13 +180,8 @@ type Stats struct {
 	// MaxDepth is the deepest tree position reached, measured from the
 	// first decision (committed decisions plus selection descent).
 	MaxDepth int
-	// RootWorkers is the number of root-parallel trees used per decision.
-	RootWorkers int
-	// TreeWorkers is the number of shared-tree workers inside each tree.
+	// TreeWorkers is the number of shared-tree workers.
 	TreeWorkers int
-	// MergeConflicts counts tree workers whose locally best action lost the
-	// merged root vote (only possible with RootWorkers > 1).
-	MergeConflicts int64
 	// VirtualLossApplied counts virtual-loss marks applied on shared-tree
 	// descent paths (only possible with TreeWorkers > 1; every mark is
 	// reverted on backup).
@@ -234,7 +192,7 @@ type Stats struct {
 	TTHits   int64
 	TTMisses int64
 	// TTEvictions counts transposition-table entries dropped by capacity
-	// flushes (only possible with UseTranspositions and TTCapacity > 0).
+	// flushes (only possible with UseTranspositions).
 	TTEvictions int64
 	// Elapsed is the wall-clock time of the Schedule call.
 	Elapsed time.Duration
@@ -247,7 +205,7 @@ type Stats struct {
 
 // Scheduler runs MCTS to schedule whole jobs. It implements
 // sched.Scheduler. A Scheduler is not safe for concurrent Schedule calls:
-// besides the stats counters it owns per-worker node arenas, rollout
+// besides the stats counters it owns the node arena, per-worker rollout
 // contexts and simulation buffers that are reused across iterations.
 type Scheduler struct {
 	name  string
@@ -262,13 +220,14 @@ type Scheduler struct {
 	sm  *obs.SearchMetrics
 	sim *obs.SimMetrics
 
-	// workers holds the root-parallel tree workers. Workers persist across
-	// Schedule calls — their arenas, expanders, rollout contexts and
-	// simulation buffers are reusable — and only the tree and rngs are
-	// reset per call.
-	workers []*treeWorker
-	// merged is the reusable per-legal-action buffer of mergeAndChoose.
-	merged []rootStat
+	// tree is the search tree and its workers. It persists across Schedule
+	// calls — its arena, expanders, rollout contexts and simulation buffers
+	// are reusable — and only the nodes and rngs are reset per call.
+	tree *treeWorker
+	// ttCap bounds the transposition table: 64×InitialBudget entries,
+	// comfortably above what one decision's expansions can insert while
+	// still capping a long episode's growth.
+	ttCap int
 }
 
 var _ sched.ContextScheduler = (*Scheduler)(nil)
@@ -283,13 +242,16 @@ func NewNamed(name string, cfg Config) *Scheduler {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Scheduler{
-		name: name,
-		cfg:  cfg,
-		reg:  reg,
-		sm:   obs.NewSearchMetrics(reg),
-		sim:  obs.NewSimMetrics(reg),
+	s := &Scheduler{
+		name:  name,
+		cfg:   cfg,
+		reg:   reg,
+		sm:    obs.NewSearchMetrics(reg),
+		sim:   obs.NewSimMetrics(reg),
+		ttCap: 64 * cfg.InitialBudget,
 	}
+	s.tree = s.newTree()
+	return s
 }
 
 // Name implements sched.Scheduler.
@@ -302,54 +264,20 @@ func (s *Scheduler) LastStats() Stats { return s.stats }
 // cluster counters, accumulated across every Schedule call).
 func (s *Scheduler) Metrics() obs.Snapshot { return s.reg.Snapshot() }
 
-// rootStat is one legal action's root statistics merged across tree
-// workers: summed visits and values, max of maxes — exact integer
-// arithmetic, like the per-node stats it merges.
-type rootStat struct {
-	visits int64
-	sum    int64
-	max    int64
-	seen   bool
-}
-
-func (r rootStat) mean() float64 {
-	if r.visits == 0 {
-		return math.Inf(-1)
-	}
-	return float64(r.sum) / float64(r.visits)
-}
-
-// betterStat is the committed-move rule of statsSnap.better over merged
-// stats: max value first, mean tiebreak.
-func betterStat(a, b rootStat) bool {
-	if a.max != b.max {
-		return a.max > b.max
-	}
-	return a.mean() > b.mean()
-}
-
-// workerSeed derives tree worker w's rng seed from the configured seed: a
-// fixed odd multiplier (the 64-bit golden ratio) spreads consecutive worker
-// indices across the seed space. Worker 0 keeps the configured seed, so
-// RootParallelism = 1 reproduces the single-tree search exactly.
-func workerSeed(seed int64, w int) int64 {
-	if w == 0 {
+// workerSeed derives shared-tree worker j's rng seed from the configured
+// seed: a fixed odd multiplier (the 64-bit golden ratio) spreads consecutive
+// worker indices across the seed space. Worker 0 keeps the configured seed,
+// so TreeParallelism = 1 reproduces the serial search exactly.
+func workerSeed(seed int64, j int) int64 {
+	if j == 0 {
 		return seed
 	}
-	return seed + int64(uint64(w)*0x9E3779B97F4A7C15)
+	return seed + int64(uint64(j)*0x9E3779B97F4A7C15)
 }
 
-// simSeed derives the rng seed of shared-tree worker j inside tree w by
-// applying workerSeed twice. Worker (w, 0) keeps tree w's seed, so
-// TreeParallelism = 1 reproduces the per-tree serial search exactly.
-func simSeed(seed int64, w, j int) int64 {
-	return workerSeed(workerSeed(seed, w), j)
-}
-
-// treeWorker is one root-parallel search tree: the arena holding its nodes
-// and statistics, the transposition table (when enabled), and the J
-// shared-tree simWorkers that descend it. Nothing here is shared between
-// trees except the scheduler's lock-free metric bundles.
+// treeWorker is the search tree: the arena holding its nodes and
+// statistics, the transposition table (when enabled), and the J shared-tree
+// simWorkers that descend it.
 type treeWorker struct {
 	// The raw atomic counters lead the struct so they are 64-bit aligned
 	// even on 32-bit hosts (Go only guarantees 64-bit alignment of an
@@ -405,28 +333,24 @@ type simWorker struct {
 	err        error
 }
 
-// worker returns tree worker w with its TreeParallelism simWorkers, growing
-// the pool as needed. Must only be called from the Schedule goroutine.
-func (s *Scheduler) worker(w int) *treeWorker {
-	for len(s.workers) <= w {
-		tw := &treeWorker{s: s}
-		for j := 0; j < s.cfg.TreeParallelism; j++ {
-			sw := &simWorker{tw: tw}
-			if s.cfg.NewExpander != nil {
-				sw.expand = s.cfg.NewExpander()
-			} else {
-				sw.expand = s.cfg.Expand
-			}
-			if s.cfg.RolloutsPerExpansion > 1 && !s.cfg.DisableBatchedRollouts {
-				if bp, ok := s.cfg.Rollout.(simenv.BatchPolicy); ok {
-					sw.brc = simenv.NewBatchRolloutContext(bp, s.cfg.RolloutsPerExpansion)
-				}
-			}
-			tw.sims = append(tw.sims, sw)
+// newTree builds the search tree with its TreeParallelism simWorkers.
+func (s *Scheduler) newTree() *treeWorker {
+	tw := &treeWorker{s: s}
+	for j := 0; j < s.cfg.TreeParallelism; j++ {
+		sw := &simWorker{tw: tw}
+		if s.cfg.NewExpander != nil {
+			sw.expand = s.cfg.NewExpander()
+		} else {
+			sw.expand = s.cfg.Expand
 		}
-		s.workers = append(s.workers, tw)
+		if s.cfg.RolloutsPerExpansion > 1 {
+			if bp, ok := s.cfg.Rollout.(simenv.BatchPolicy); ok {
+				sw.brc = simenv.NewBatchRolloutContext(bp, s.cfg.RolloutsPerExpansion)
+			}
+		}
+		tw.sims = append(tw.sims, sw)
 	}
-	return s.workers[w]
+	return tw
 }
 
 func (tw *treeWorker) resetPhase() {
@@ -435,8 +359,10 @@ func (tw *treeWorker) resetPhase() {
 	}
 }
 
-// collect folds a tree's search-phase deltas into the call stats.
-func (s *Scheduler) collect(tw *treeWorker) {
+// collect folds the tree's search-phase deltas into the call stats and
+// returns the first worker error.
+func (s *Scheduler) collect(tw *treeWorker) error {
+	var err error
 	for _, sw := range tw.sims {
 		s.stats.Iterations += sw.iterations
 		s.stats.Expansions += sw.expansions
@@ -445,7 +371,11 @@ func (s *Scheduler) collect(tw *treeWorker) {
 		if sw.maxDepth > s.stats.MaxDepth {
 			s.stats.MaxDepth = sw.maxDepth
 		}
+		if err == nil {
+			err = sw.err
+		}
 	}
+	return err
 }
 
 // Schedule implements sched.Scheduler. It is ScheduleContext with an
@@ -465,18 +395,13 @@ func (s *Scheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, 
 //spear:timing
 func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
 	began := time.Now()
-	K, J := s.cfg.RootParallelism, s.cfg.TreeParallelism
-	s.stats = Stats{RootWorkers: K, TreeWorkers: J}
+	tw := s.tree
+	s.stats = Stats{TreeWorkers: s.cfg.TreeParallelism}
 	defer func() {
-		for w := 0; w < K && w < len(s.workers); w++ { //spear:nopoll(bounded stats sweep over at most K workers)
-			tw := s.workers[w]
-			s.stats.TTHits += atomic.LoadInt64(&tw.ttHits)
-			s.stats.TTMisses += atomic.LoadInt64(&tw.ttMisses)
-			if ev := atomic.LoadInt64(&tw.tt.evictions); ev > 0 {
-				s.stats.TTEvictions += ev
-				s.sm.TTEvictions.Add(ev)
-			}
-		}
+		s.stats.TTHits = atomic.LoadInt64(&tw.ttHits)
+		s.stats.TTMisses = atomic.LoadInt64(&tw.ttMisses)
+		s.stats.TTEvictions = atomic.LoadInt64(&tw.tt.evictions)
+		s.sm.TTEvictions.Add(s.stats.TTEvictions)
 		s.stats.Elapsed = time.Since(began)
 		secs := s.stats.Elapsed.Seconds()
 		if secs < minElapsedSeconds {
@@ -485,8 +410,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 		s.stats.SimsPerSec = float64(s.stats.Rollouts) / secs
 		s.sm.SearchTime.Observe(s.stats.Elapsed)
 		s.sm.TreeDepth.Set(int64(s.stats.MaxDepth))
-		s.sm.RootWorkers.Set(int64(K))
-		s.sm.TreeWorkers.Set(int64(J))
+		s.sm.TreeWorkers.Set(int64(s.cfg.TreeParallelism))
 	}()
 
 	env, err := simenv.NewCluster(g, spec, simenv.Config{Window: s.cfg.Window, Mode: simenv.NextCompletion, Metrics: s.sim})
@@ -499,38 +423,25 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 		return nil, err
 	}
 
-	// Reset the tree workers for this call: worker 0 owns the base episode,
-	// the others clone it (clones share the metric bundle, not state). The
-	// arenas keep their chunk storage and per-slot buffers from earlier
-	// calls, so warm calls rebuild their trees without allocating.
-	for w := 0; w < K; w++ { //spear:nopoll(bounded per-call reset of K tree workers)
-		tw := s.worker(w)
-		tw.arena.reset()
-		if s.cfg.UseTranspositions {
-			ttCap := s.cfg.TTCapacity
-			if ttCap < 0 {
-				ttCap = 0 // explicit unbounded
-			}
-			tw.tt.reset(ttCap)
-		}
-		atomic.StoreInt64(&tw.ttHits, 0)
-		atomic.StoreInt64(&tw.ttMisses, 0)
-		for j, sw := range tw.sims { //spear:nopoll(bounded rng reseed over the sim workers)
-			sw.rng = rand.New(rand.NewSource(simSeed(s.cfg.Seed, w, j)))
-		}
-		wenv := env
-		if w > 0 {
-			wenv = env.Clone()
-		}
-		tw.root = tw.newNode(wenv, nilNode, 0)
+	// Reset the tree for this call. The arena keeps its chunk storage and
+	// per-slot buffers from earlier calls, so warm calls rebuild the tree
+	// without allocating.
+	tw.arena.reset()
+	if s.cfg.UseTranspositions {
+		tw.tt.reset(s.ttCap)
 	}
-	w0 := s.workers[0]
-	rng := w0.sims[0].rng
+	atomic.StoreInt64(&tw.ttHits, 0)
+	atomic.StoreInt64(&tw.ttMisses, 0)
+	for j, sw := range tw.sims { //spear:nopoll(bounded rng reseed over the sim workers)
+		sw.rng = rand.New(rand.NewSource(workerSeed(s.cfg.Seed, j)))
+	}
+	tw.root = tw.newNode(env, nilNode, 0)
+	rng := tw.sims[0].rng
 
 	depth := 0
-	for !w0.arena.node(w0.root).env.Done() {
+	for !tw.arena.node(tw.root).env.Done() {
 		if ctx.Err() != nil {
-			return s.finishCancelled(ctx, w0.arena.node(w0.root).env, rng, began)
+			return s.finishCancelled(ctx, tw.arena.node(tw.root).env, rng, began)
 		}
 		depth++
 		s.stats.Decisions++
@@ -539,7 +450,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 			s.stats.MaxDepth = depth
 		}
 
-		legal := w0.arena.node(w0.root).env.LegalActions()
+		legal := tw.arena.node(tw.root).env.LegalActions()
 		if len(legal) == 0 {
 			return nil, fmt.Errorf("mcts: no legal actions at decision %d", depth)
 		}
@@ -560,34 +471,23 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 			if err := s.searchPhase(ctx, budget, depth, c); err != nil {
 				return nil, err
 			}
-			if K == 1 {
-				// Single tree: pick among the root's children directly,
-				// preserving the classic creation-order tiebreak.
-				next := w0.bestRootChild()
-				if next == nilNode {
-					// Cancelled before the first expansion of this decision.
-					return s.finishCancelled(ctx, w0.arena.node(w0.root).env, rng, began)
-				}
-				chosen = w0.arena.node(next).action
-			} else {
-				var ok bool
-				if chosen, ok = s.mergeAndChoose(legal); !ok {
-					return s.finishCancelled(ctx, w0.arena.node(w0.root).env, rng, began)
-				}
+			next := tw.bestRootChild()
+			if next == nilNode {
+				// Cancelled before the first expansion of this decision.
+				return s.finishCancelled(ctx, tw.arena.node(tw.root).env, rng, began)
 			}
+			chosen = tw.arena.node(next).action
 		}
-		// Commit the move in every tree: the chosen child becomes that
-		// tree's new root (created on the spot if this tree never tried it —
-		// bookkeeping, not an expansion), and the rest of the old tree goes
-		// back to the arena freelist for the next decision to reuse.
-		for w := 0; w < K; w++ { //spear:nopoll(bounded commit across K worker trees)
-			if err := s.workers[w].commit(chosen); err != nil {
-				return nil, err
-			}
+		// Commit the move: the chosen child becomes the new root (created on
+		// the spot for a forced move — bookkeeping, not an expansion), and
+		// the rest of the old tree goes back to the arena freelist for the
+		// next decision to reuse.
+		if err := tw.commit(chosen); err != nil {
+			return nil, err
 		}
 	}
 
-	out, err := w0.arena.node(w0.root).env.Schedule(s.name)
+	out, err := tw.arena.node(tw.root).env.Schedule(s.name)
 	if err != nil {
 		return nil, err
 	}
@@ -613,11 +513,8 @@ func (tw *treeWorker) bestRootChild() int32 {
 	return best
 }
 
-// commit makes the chosen action's child this tree's new root and recycles
-// every other node of the old tree. With DisableTreeReuse the chosen
-// child's subtree is recycled too and a fresh root is rebuilt around its
-// env (statistics dropped — though a transposition table, which keys on
-// state rather than tree position, deliberately retains its entries).
+// commit makes the chosen action's child the tree's new root, keeping its
+// subtree and statistics, and recycles every other node of the old tree.
 func (tw *treeWorker) commit(chosen simenv.Action) error {
 	ar := &tw.arena
 	next, err := tw.commitChild(chosen)
@@ -633,21 +530,14 @@ func (tw *treeWorker) commit(chosen simenv.Action) error {
 		ch = nx
 	}
 	ar.release(oldRoot)
-	n := ar.node(next)
-	n.parent = nilNode
-	if tw.s.cfg.DisableTreeReuse {
-		env := n.env
-		n.env = nil // keep the env alive: it becomes the fresh root's state
-		ar.releaseSubtree(next)
-		next = tw.newNode(env, nilNode, 0)
-	}
+	ar.node(next).parent = nilNode
 	tw.root = next
 	return nil
 }
 
 // commitChild returns the root's child for the committed action, creating
-// it as a bookkeeping node (not an expansion) when this tree never tried
-// the action. Runs between search phases, single-threaded.
+// it as a bookkeeping node (not an expansion) when the search never tried
+// the action (a forced move). Runs between search phases, single-threaded.
 func (tw *treeWorker) commitChild(a simenv.Action) (int32, error) {
 	ar := &tw.arena
 	root := ar.node(tw.root)
@@ -667,8 +557,8 @@ func (tw *treeWorker) commitChild(a simenv.Action) (int32, error) {
 	return tw.newChild(tw.root, a)
 }
 
-// newNode builds a node around an existing env (the root of a tree or a
-// rebuilt root after DisableTreeReuse) in a fresh arena slot.
+// newNode builds a node around an existing env (the root of the tree) in a
+// fresh arena slot.
 func (tw *treeWorker) newNode(env *simenv.Env, parent int32, action simenv.Action) int32 {
 	ar := &tw.arena
 	idx := ar.alloc(tw.s.cfg.UseTranspositions)
@@ -737,70 +627,35 @@ func (tw *treeWorker) countTT(hit bool) {
 	}
 }
 
-// searchPhase runs one decision's search on every tree worker, splitting
-// the Eq. 4 budget: each tree gets budget/K iterations and the first
-// budget%K trees one more, so the total spent equals the single-tree
-// budget. Inside a tree, J shared-tree workers draw iteration tickets from
-// an atomic counter until the tree's share is spent. With one tree and one
-// worker the search runs inline; otherwise each worker runs in its own
-// goroutine — trees are fully independent, and workers inside a tree share
-// only the arena, the latches and the atomic statistics.
+// searchPhase runs one decision's search. With one worker the search runs
+// inline; with J > 1 each shared-tree worker runs in its own goroutine,
+// drawing iteration tickets from an atomic counter until the budget is
+// spent, so the Eq. 4 budget is conserved exactly. The workers share only
+// the arena, the latches and the atomic statistics.
 func (s *Scheduler) searchPhase(ctx context.Context, budget, rootDepth int, c float64) error {
-	K, J := s.cfg.RootParallelism, s.cfg.TreeParallelism
-	if K == 1 && J == 1 {
-		tw := s.workers[0]
-		tw.resetPhase()
-		err := tw.sims[0].searchSerial(ctx, budget, rootDepth, c)
-		s.collect(tw)
-		return err
+	tw := s.tree
+	tw.resetPhase()
+	if s.cfg.TreeParallelism == 1 {
+		sw := tw.sims[0]
+		sw.err = sw.searchSerial(ctx, budget, rootDepth, c)
+		return s.collect(tw)
 	}
-	share, extra := budget/K, budget%K
+	atomic.StoreInt64(&tw.remaining, int64(budget))
 	var wg sync.WaitGroup
-	for w := 0; w < K; w++ {
-		tw := s.workers[w]
-		tw.resetPhase()
-		b := share
-		if w < extra {
-			b++
-		}
-		if b == 0 {
-			continue
-		}
-		if J == 1 {
-			sw := tw.sims[0]
-			wg.Add(1)
-			go func(sw *simWorker, b int) {
-				defer wg.Done()
-				sw.err = sw.searchSerial(ctx, b, rootDepth, c)
-			}(sw, b)
-			continue
-		}
-		atomic.StoreInt64(&tw.remaining, int64(b))
-		for j := 0; j < J; j++ {
-			sw := tw.sims[j]
-			wg.Add(1)
-			go func(sw *simWorker) {
-				defer wg.Done()
-				sw.err = sw.searchShared(ctx, rootDepth, c)
-			}(sw)
-		}
+	for _, sw := range tw.sims {
+		wg.Add(1)
+		go func(sw *simWorker) {
+			defer wg.Done()
+			sw.err = sw.searchShared(ctx, rootDepth, c)
+		}(sw)
 	}
 	wg.Wait()
-	for w := 0; w < K; w++ { //spear:nopoll(bounded error sweep after the join)
-		tw := s.workers[w]
-		for _, sw := range tw.sims { //spear:nopoll(bounded error sweep after the join)
-			if sw.err != nil {
-				return sw.err
-			}
-		}
-		s.collect(tw)
-	}
-	return nil
+	return s.collect(tw)
 }
 
 // searchSerial runs exactly budget iterations — the deterministic path for
-// TreeParallelism = 1 (with RootParallelism = 1 it runs inline on the
-// Schedule goroutine, bit-identical to the classic single-tree search).
+// TreeParallelism = 1, inline on the Schedule goroutine and bit-identical
+// to the classic single-tree search.
 // ctx is checked once per iteration; on cancellation the search stops
 // early and returns nil, leaving whatever tree was built for the caller to
 // harvest.
@@ -981,67 +836,6 @@ func (tw *treeWorker) backup(nIdx int32, values []float64, vlossOn bool) {
 	}
 }
 
-// mergeAndChoose merges the root-child statistics of every tree worker per
-// legal action (summed visits and values, max of maxes) and picks the
-// committed move with the max-value/mean-tiebreak rule, iterating legal in
-// order. It also counts merge conflicts: workers whose local best action
-// lost the merged vote. Returns false if no tree expanded anything.
-func (s *Scheduler) mergeAndChoose(legal []simenv.Action) (simenv.Action, bool) {
-	K := s.cfg.RootParallelism
-	if cap(s.merged) < len(legal) {
-		s.merged = make([]rootStat, len(legal))
-	}
-	merged := s.merged[:len(legal)]
-	for i := range merged {
-		merged[i] = rootStat{max: unvisitedMax}
-	}
-	for w := 0; w < K; w++ {
-		tw := s.workers[w]
-		ar := &tw.arena
-		for ch := atomic.LoadInt32(&ar.node(tw.root).first); ch != nilNode; ch = atomic.LoadInt32(&ar.node(ch).next) {
-			cn := ar.node(ch)
-			st := snapStats(ar.nstats(cn.stats))
-			for i, a := range legal {
-				if a == cn.action {
-					m := &merged[i]
-					m.seen = true
-					m.visits += st.visits
-					m.sum += st.sum
-					if st.max > m.max {
-						m.max = st.max
-					}
-					break
-				}
-			}
-		}
-	}
-	best := -1
-	for i := range merged {
-		if !merged[i].seen {
-			continue
-		}
-		if best < 0 || betterStat(merged[i], merged[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	chosen := legal[best]
-	for w := 0; w < K; w++ {
-		tw := s.workers[w]
-		local := tw.bestRootChild()
-		if local == nilNode {
-			continue
-		}
-		if tw.arena.node(local).action != chosen {
-			s.stats.MergeConflicts++
-			s.sm.MergeConflicts.Inc()
-		}
-	}
-	return chosen, true
-}
-
 // finishCancelled completes a cancelled search: the episode committed so
 // far is played to termination with the rollout policy, yielding the best
 // incumbent schedule reachable without further search, and the schedule is
@@ -1151,10 +945,7 @@ func (sw *simWorker) simulate(n *anode, rng *rand.Rand) ([]float64, error) {
 		}
 		return values, nil
 	}
-	workers := sw.tw.s.cfg.Parallelism
-	if workers > k {
-		workers = k
-	}
+	workers := min(runtime.GOMAXPROCS(0), k)
 	// Create the contexts serially before spawning: rolloutContext grows
 	// sw.rctx and must not race with itself.
 	for w := 0; w < workers; w++ {

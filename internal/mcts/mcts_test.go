@@ -159,20 +159,6 @@ func TestNamedScheduler(t *testing.T) {
 	}
 }
 
-func TestTreeReuseMatchesNoReuseValidity(t *testing.T) {
-	g, capacity := smallRandomDAG(5, 20)
-	for _, disable := range []bool{false, true} {
-		s := New(Config{InitialBudget: 40, MinBudget: 10, Seed: 2, DisableTreeReuse: disable})
-		out, err := s.Schedule(g, cluster.Single(capacity))
-		if err != nil {
-			t.Fatalf("reuse=%v: %v", !disable, err)
-		}
-		if err := sched.Validate(g, cluster.Single(capacity), out); err != nil {
-			t.Errorf("reuse=%v: %v", !disable, err)
-		}
-	}
-}
-
 func TestForcedMovesSkipSearch(t *testing.T) {
 	// A pure chain has exactly one legal action at every step, so zero
 	// iterations should be spent.
@@ -231,7 +217,7 @@ func TestTerminalNodeBackpropagatesFullWeight(t *testing.T) {
 	}
 	const k = 4
 	s := New(Config{InitialBudget: 10, MinBudget: 2, RolloutsPerExpansion: k})
-	tw := s.worker(0)
+	tw := s.tree
 	tw.arena.reset()
 	n := tw.arena.node(tw.newNode(env, nilNode, 0))
 	values, err := tw.sims[0].simulate(n, rand.New(rand.NewSource(1)))
@@ -366,7 +352,7 @@ func TestCustomRolloutIsUsed(t *testing.T) {
 func TestParallelRolloutsValidAndDeterministic(t *testing.T) {
 	g, capacity := smallRandomDAG(6, 25)
 	run := func() int64 {
-		s := New(Config{InitialBudget: 30, MinBudget: 8, Seed: 4, RolloutsPerExpansion: 4, Parallelism: 2})
+		s := New(Config{InitialBudget: 30, MinBudget: 8, Seed: 4, RolloutsPerExpansion: 4})
 		out, err := s.Schedule(g, cluster.Single(capacity))
 		if err != nil {
 			t.Fatal(err)
@@ -441,5 +427,52 @@ func TestWindowLimitsVisibleActions(t *testing.T) {
 	}
 	if err := sched.Validate(g, cluster.Single(capacity), out); err != nil {
 		t.Error(err)
+	}
+}
+
+// batchRandom wraps the classic random rollout policy with the BatchPolicy
+// interface by evaluating rows one at a time, so batched and per-episode
+// rollouts are trivially identical per row.
+type batchRandom struct{ baselines.Random }
+
+func (batchRandom) NewBatchContext(maxRows int) simenv.BatchPolicyContext { return nil }
+
+func (p batchRandom) ChooseBatch(_ simenv.BatchPolicyContext, envs []*simenv.Env, legal [][]simenv.Action, rngs []*rand.Rand, out []simenv.Action) error {
+	for i := range envs {
+		a, err := p.Choose(envs[i], legal[i], rngs[i])
+		if err != nil {
+			return err
+		}
+		out[i] = a
+	}
+	return nil
+}
+
+// TestBatchedRolloutsMatchUnbatched pins the lock-step batched simulation
+// path to the goroutine-parallel one: with per-index seeds a BatchPolicy
+// rollout and the same policy without the batch interface must yield the
+// same schedule, so batching only changes the number of policy passes.
+func TestBatchedRolloutsMatchUnbatched(t *testing.T) {
+	g, capacity := smallRandomDAG(29, 25)
+	run := func(rollout simenv.Policy, batched bool) *sched.Schedule {
+		s := New(Config{
+			InitialBudget: 40, MinBudget: 8, Seed: 11,
+			RolloutsPerExpansion: 3, Rollout: rollout,
+		})
+		if got := s.tree.sims[0].brc != nil; got != batched {
+			t.Fatalf("%T: batched rollout context built = %v, want %v", rollout, got, batched)
+		}
+		out, err := s.Schedule(g, cluster.Single(capacity))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	batched, plain := run(batchRandom{}, true), run(baselines.Random{}, false)
+	if batched.Makespan != plain.Makespan {
+		t.Errorf("batched rollouts makespan %d, unbatched %d", batched.Makespan, plain.Makespan)
+	}
+	if hb, hp := placementHash(batched), placementHash(plain); hb != hp {
+		t.Errorf("batched placement hash %#x, unbatched %#x", hb, hp)
 	}
 }

@@ -31,11 +31,10 @@ func placementHash(out *sched.Schedule) uint64 {
 // pre-rewrite pointer-tree search: the golden rows below were captured by
 // running the legacy implementation (per-node heap allocation, float64
 // statistics, recursive child slices) over every search feature — tree
-// reuse on/off, budget decay on/off, CP rollouts, windows, leaf-parallel
-// rollouts, multi-machine clusters, root parallelism and the DRL-guided
-// policies. With TreeParallelism = 1 and transpositions off, the rewrite
-// must reproduce every makespan, every counter and every placement slot
-// bit for bit.
+// reuse, budget decay on/off, CP rollouts, windows, leaf-parallel
+// rollouts, multi-machine clusters and the DRL-guided policies. With
+// TreeParallelism = 1 and transpositions off, the rewrite must reproduce
+// every makespan, every counter and every placement slot bit for bit.
 func TestLegacyGoldenBitIdentity(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -55,9 +54,6 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 		{"basic-42", 226, 522, 495, 491, 0x8c68048b51c7ed6c, 42, 30, 0, func(t *testing.T) *Scheduler {
 			return New(Config{InitialBudget: 80, MinBudget: 16, Seed: 42})
 		}},
-		{"noreuse-7", 174, 276, 272, 269, 0xa1e2868d18093177, 7, 20, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 50, MinBudget: 10, Seed: 7, DisableTreeReuse: true})
-		}},
 		{"nodecay-9", 181, 720, 614, 608, 0xc14db61b5f7674ce, 9, 20, 0, func(t *testing.T) *Scheduler {
 			return New(Config{InitialBudget: 40, MinBudget: 10, Seed: 9, DisableBudgetDecay: true})
 		}},
@@ -68,16 +64,10 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 5, Window: 5})
 		}},
 		{"leafpar-6", 178, 229, 225, 896, 0x2f712ecd0a03386d, 6, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 30, MinBudget: 8, Seed: 6, RolloutsPerExpansion: 4, Parallelism: 2})
+			return New(Config{InitialBudget: 30, MinBudget: 8, Seed: 6, RolloutsPerExpansion: 4})
 		}},
 		{"multi-4m-11", 82, 337, 335, 331, 0x5e73e8a0e3a5e97f, 11, 25, 4, func(t *testing.T) *Scheduler {
 			return New(Config{InitialBudget: 50, MinBudget: 10, Seed: 11})
-		}},
-		{"rootpar-k2", 213, 336, 332, 330, 0x638bbd301ad86bc0, 21, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 21, RootParallelism: 2})
-		}},
-		{"rootpar-k4", 215, 344, 344, 344, 0x14020546f2f64555, 21, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 21, RootParallelism: 4})
 		}},
 		{"drl-guided", 214, 184, 183, 181, 0x34a4e16d751d8f41, 21, 25, 0, func(t *testing.T) *Scheduler {
 			feat := drl.Features{Window: 5, Horizon: 10, Dims: 2}
@@ -141,9 +131,9 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 }
 
 // TestTreeParallelRaceHammer drives the shared tree hard under the race
-// detector: J=4 workers per tree, transpositions on, leaf-parallel rollouts,
-// several Schedule calls on one scheduler (arena reuse), and the K×J
-// composition. Run with -race; correctness here is "no race, valid
+// detector: J=4 workers, transpositions on, leaf-parallel rollouts, several
+// Schedule calls on one scheduler (arena reuse), and a J=2 search sharing
+// the obs registry. Run with -race; correctness here is "no race, valid
 // schedule, consistent counters".
 func TestTreeParallelRaceHammer(t *testing.T) {
 	g, capacity := smallRandomDAG(33, 30)
@@ -151,8 +141,8 @@ func TestTreeParallelRaceHammer(t *testing.T) {
 	s := New(Config{
 		InitialBudget: 120, MinBudget: 24, Seed: 9,
 		TreeParallelism: 4, UseTranspositions: true,
-		RolloutsPerExpansion: 2, Parallelism: 2,
-		Obs: reg,
+		RolloutsPerExpansion: 2,
+		Obs:                  reg,
 	})
 	for call := 0; call < 3; call++ {
 		out, err := s.Schedule(g, cluster.Single(capacity))
@@ -176,21 +166,23 @@ func TestTreeParallelRaceHammer(t *testing.T) {
 			t.Errorf("call %d: transpositions on but no TT misses recorded", call)
 		}
 	}
-	// And the K×J composition.
-	kj := New(Config{
+	// And a second J=2 scheduler aggregating into the same registry.
+	j2 := New(Config{
 		InitialBudget: 80, MinBudget: 16, Seed: 10,
-		RootParallelism: 2, TreeParallelism: 2,
+		TreeParallelism: 2, Obs: reg,
 	})
-	out, err := kj.Schedule(g, cluster.Single(capacity))
+	out, err := j2.Schedule(g, cluster.Single(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.Validate(g, cluster.Single(capacity), out); err != nil {
 		t.Fatal(err)
 	}
-	st := kj.LastStats()
-	if st.RootWorkers != 2 || st.TreeWorkers != 2 {
-		t.Errorf("K×J stats = %d×%d, want 2×2", st.RootWorkers, st.TreeWorkers)
+	if st := j2.LastStats(); st.TreeWorkers != 2 {
+		t.Errorf("TreeWorkers = %d, want 2", st.TreeWorkers)
+	}
+	if v, ok := reg.Snapshot().Value("spear_mcts_tree_workers"); !ok || v != 2 {
+		t.Errorf("tree workers gauge %v (ok=%v), want 2", v, ok)
 	}
 }
 
@@ -236,7 +228,7 @@ func TestVirtualLossAllReverted(t *testing.T) {
 	if s.LastStats().VirtualLossApplied == 0 {
 		t.Fatal("hammer applied no virtual losses; the check below would be vacuous")
 	}
-	ar := &s.workers[0].arena
+	ar := &s.tree.arena
 	table := ar.table.Load()
 	for i := int32(0); i < ar.nlen; i++ {
 		st := &table.stats[i>>arenaChunkBits][i&arenaChunkMask]
@@ -262,7 +254,7 @@ func TestTranspositionSharesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{UseTranspositions: true})
-	tw := s.worker(0)
+	tw := s.tree
 	tw.arena.reset()
 	tw.tt.reset(0)
 	tw.sims[0].rng = rand.New(rand.NewSource(1))
@@ -352,7 +344,7 @@ func TestSteadyStateSearchAllocFree(t *testing.T) {
 	if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
 		t.Fatal(err)
 	}
-	tw := s.workers[0]
+	tw := s.tree
 	sw := tw.sims[0]
 	env, err := simenv.New(g, capacity, simenv.Config{Mode: simenv.NextCompletion})
 	if err != nil {
@@ -372,5 +364,43 @@ func TestSteadyStateSearchAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("warm search phase allocated %.1f times per run, want 0", avg)
+	}
+}
+
+func TestWorkerSeedsDistinct(t *testing.T) {
+	if got := workerSeed(42, 0); got != 42 {
+		t.Fatalf("worker 0 seed = %d, want the configured 42", got)
+	}
+	seen := map[int64]bool{}
+	for j := 0; j < 8; j++ {
+		s := workerSeed(42, j)
+		if seen[s] {
+			t.Fatalf("worker %d repeats seed %d", j, s)
+		}
+		seen[s] = true
+	}
+}
+
+// TestNewExpanderFactoryPerWorker checks that every shared-tree worker gets
+// its own expander instance from the factory — shared stateful expanders
+// across concurrent workers are exactly what NewExpander exists to prevent.
+func TestNewExpanderFactoryPerWorker(t *testing.T) {
+	built := 0
+	s := New(Config{
+		TreeParallelism: 3,
+		NewExpander: func() Expander {
+			built++
+			return RandomExpander{}
+		},
+	})
+	if built != 3 {
+		t.Errorf("factory built %d expanders for 3 workers", built)
+	}
+	g, capacity := smallRandomDAG(31, 15)
+	if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
+		t.Fatal(err)
+	}
+	if built != 3 {
+		t.Errorf("factory called again during Schedule: %d expanders built", built)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// transTable is the transposition table of one search tree: it maps the
+// transTable is the transposition table of the search tree: it maps the
 // canonical environment state hash (simenv.Env.StateHash — clock, ready
 // set, running occupancy, done set, order-independent by construction) to
 // a shared nodeStats block, so states reached via different schedule
@@ -24,7 +24,7 @@ import (
 // never recycles stats blocks mid-call; the flush only forgets the
 // hash→block associations, so later visits to a flushed state open a
 // fresh block instead of pooling — a graceful degradation that caps
-// memory at cap entries per tree.
+// memory at cap entries.
 type transTable struct {
 	// evictions counts entries dropped by capacity flushes during the
 	// current Schedule call. First field so the raw int64 is 64-bit

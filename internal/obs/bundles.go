@@ -62,15 +62,9 @@ type SearchMetrics struct {
 	// TreeDepth is the maximum tree depth reached by the latest Schedule
 	// call (committed decisions + selection descent).
 	TreeDepth *Gauge
-	// RootWorkers is the root-parallelism degree of the latest Schedule call
-	// (independent search trees per decision).
-	RootWorkers *Gauge
 	// TreeWorkers is the shared-tree parallelism degree of the latest
-	// Schedule call (workers cooperating inside each tree).
+	// Schedule call (workers cooperating inside the search tree).
 	TreeWorkers *Gauge
-	// MergeConflicts counts root workers whose locally best action disagreed
-	// with the action chosen from the merged root statistics.
-	MergeConflicts *Counter
 	// VirtualLoss counts virtual-loss marks applied on shared-tree descent
 	// paths (each is reverted on backup; the counter tracks applications).
 	VirtualLoss *Counter
@@ -93,20 +87,18 @@ func NewSearchMetrics(r *Registry) *SearchMetrics {
 		r = NewRegistry()
 	}
 	return &SearchMetrics{
-		Decisions:      r.Counter("spear_search_decisions_total", "Committed scheduling decisions"),
-		Iterations:     r.Counter("spear_search_iterations_total", "MCTS iterations (selection, expansion, simulation, backprop)"),
-		Expansions:     r.Counter("spear_search_expansions_total", "Nodes expanded into the search tree"),
-		Rollouts:       r.Counter("spear_search_rollouts_total", "Simulations played to termination"),
-		ForcedMoves:    r.Counter("spear_search_forced_moves_total", "Single-legal-action decisions committed without search"),
-		TreeDepth:      r.Gauge("spear_search_tree_depth", "Maximum tree depth of the latest Schedule call"),
-		RootWorkers:    r.Gauge("spear_mcts_root_workers", "Root-parallel search trees per decision of the latest Schedule call"),
-		TreeWorkers:    r.Gauge("spear_mcts_tree_workers", "Shared-tree workers per tree of the latest Schedule call"),
-		MergeConflicts: r.Counter("spear_mcts_merge_conflicts_total", "Root workers whose local best action lost the merged root vote"),
-		VirtualLoss:    r.Counter("spear_mcts_virtual_loss_applied_total", "Virtual-loss marks applied on shared-tree descent paths"),
-		TTHits:         r.Counter("spear_mcts_tt_hits_total", "Transposition-table lookups that found an existing statistics block"),
-		TTMisses:       r.Counter("spear_mcts_tt_misses_total", "Transposition-table lookups that missed and created a statistics block"),
-		TTEvictions:    r.Counter("spear_mcts_tt_evictions_total", "Transposition-table entries dropped by capacity flushes"),
-		SearchTime:     r.Timer("spear_search_time", "Wall-clock time spent inside Schedule"),
+		Decisions:   r.Counter("spear_search_decisions_total", "Committed scheduling decisions"),
+		Iterations:  r.Counter("spear_search_iterations_total", "MCTS iterations (selection, expansion, simulation, backprop)"),
+		Expansions:  r.Counter("spear_search_expansions_total", "Nodes expanded into the search tree"),
+		Rollouts:    r.Counter("spear_search_rollouts_total", "Simulations played to termination"),
+		ForcedMoves: r.Counter("spear_search_forced_moves_total", "Single-legal-action decisions committed without search"),
+		TreeDepth:   r.Gauge("spear_search_tree_depth", "Maximum tree depth of the latest Schedule call"),
+		TreeWorkers: r.Gauge("spear_mcts_tree_workers", "Shared-tree workers of the latest Schedule call"),
+		VirtualLoss: r.Counter("spear_mcts_virtual_loss_applied_total", "Virtual-loss marks applied on shared-tree descent paths"),
+		TTHits:      r.Counter("spear_mcts_tt_hits_total", "Transposition-table lookups that found an existing statistics block"),
+		TTMisses:    r.Counter("spear_mcts_tt_misses_total", "Transposition-table lookups that missed and created a statistics block"),
+		TTEvictions: r.Counter("spear_mcts_tt_evictions_total", "Transposition-table entries dropped by capacity flushes"),
+		SearchTime:  r.Timer("spear_search_time", "Wall-clock time spent inside Schedule"),
 	}
 }
 

@@ -289,7 +289,7 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 }
 
 // classSeed derives one independent seed per class from the run seed using
-// golden-ratio increments, the same idiom as the MCTS root workers.
+// golden-ratio increments, the same idiom as the MCTS search workers.
 func classSeed(seed int64, class int) int64 {
 	return seed + int64(uint64(class+1)*0x9E3779B97F4A7C15)
 }

@@ -109,9 +109,9 @@ type (
 	AnnealingScheduler = anneal.Scheduler
 
 	// SearchStats reports what one MCTS/Spear Schedule call did: decisions,
-	// iterations, expansions, rollouts, forced moves, tree depth, root and
-	// shared-tree workers, merge conflicts, virtual losses, transposition
-	// hits/misses, elapsed wall-clock and simulations per second.
+	// iterations, expansions, rollouts, forced moves, tree depth,
+	// shared-tree workers, virtual losses, transposition hits/misses,
+	// elapsed wall-clock and simulations per second.
 	SearchStats = mcts.Stats
 	// TrainStats summarizes an instrumented training run.
 	TrainStats = obs.TrainStats
@@ -138,11 +138,10 @@ type (
 	EpochStats = drl.EpochStats
 
 	// SpearConfig parameterizes the Spear scheduler (search budgets, rollout
-	// mode, root/tree parallelism, transpositions, seed).
+	// mode, tree parallelism, transpositions, seed).
 	SpearConfig = core.Config
 	// MCTSConfig parameterizes the pure MCTS scheduler, including
-	// RootParallelism (independent trees), TreeParallelism (shared-tree
-	// workers) and UseTranspositions.
+	// TreeParallelism (shared-tree workers) and UseTranspositions.
 	MCTSConfig = mcts.Config
 	// ModelConfig parameterizes end-to-end policy training.
 	ModelConfig = core.ModelConfig

@@ -206,7 +206,7 @@ func TestMetricsWithConcurrentSchedulers(t *testing.T) {
 			// concurrency on the shared counters.
 			s := spear.NewMCTS(spear.MCTSConfig{
 				InitialBudget: 30, MinBudget: 10, Seed: int64(i),
-				RolloutsPerExpansion: 4, Parallelism: 2, Obs: reg,
+				RolloutsPerExpansion: 4, Obs: reg,
 			})
 			_, err := s.Schedule(job, spear.SingleMachine(capacity))
 			done <- err
