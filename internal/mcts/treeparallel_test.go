@@ -99,6 +99,26 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 			return NewNamed("SpearBatch", Config{InitialBudget: 20, MinBudget: 5, Seed: 22,
 				Rollout: rollout, Window: 5, RolloutsPerExpansion: 3})
 		}},
+		// The paper-shape network (DefaultFeatures: 147→256/32/32→16),
+		// captured with the untiled one-neuron-at-a-time dense loop: pins
+		// the tiled kernel at every layer shape Spear runs in production.
+		{"drl-paper-shape", 247, 190, 190, 190, 0xa41e01c2ffb162f8, 30, 30, 0, func(t *testing.T) *Scheduler {
+			feat := drl.DefaultFeatures()
+			net, err := drl.DefaultNetwork(feat, rand.New(rand.NewSource(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rollout, err := drl.NewAgent(net, feat, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expand, err := drl.NewAgent(net, feat, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewNamed("Spear", Config{InitialBudget: 30, MinBudget: 6, Seed: 30,
+				Rollout: rollout, Expand: drl.NewExpander(expand), Window: feat.Window})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,17 +1,13 @@
 // Batched inference and backprop: the matrix-matrix counterpart of the
-// ForwardInto/ProbsInto/BackwardInto fast path. Evaluating W states per
-// network pass turns W weight-matrix streams into one — the weight row is
-// loaded once per row block instead of once per state — which is where the
-// repo's batched rollout and training paths get their throughput. Per-row
-// arithmetic (accumulation order included) is identical to the single-row
-// kernels, so batched and sequential results match bit for bit.
+// ForwardInto/ProbsInto/BackwardInto fast path, over row-major batches in
+// the scratch's batch buffers. Batched inference runs the same dense kernel
+// once per row, so row r is bit-identical to ForwardInto on that row; its
+// win is one call per batch for the lock-step rollout and training callers.
+// Batched backprop streams each weight row once per batch and accumulates
+// rows in ascending order, matching sequential BackwardInto bit for bit.
 package nn
 
 import "fmt"
-
-// batchRowBlock is the row-tile size of the blocked kernels: weight rows are
-// streamed once per block while the block's activations stay L1-resident.
-const batchRowBlock = 8
 
 // ensureBatch grows the scratch's batch buffers to hold at least rows rows.
 // Growth allocates; once sized, batch calls are allocation-free.
@@ -24,16 +20,12 @@ func (n *Network) ensureBatch(s *Scratch, rows int) {
 	if s.bacts == nil {
 		s.bacts = make([][]float64, len(n.sizes))
 	}
-	widest := 0
 	for l, size := range n.sizes {
 		s.bacts[l] = make([]float64, rows*size)
-		if size > widest {
-			widest = size
-		}
 	}
 	s.bprobs = make([]float64, rows*n.OutputSize())
-	s.bdeltaA = make([]float64, rows*widest)
-	s.bdeltaB = make([]float64, rows*widest)
+	s.bdeltaA = make([]float64, rows*n.widest())
+	s.bdeltaB = make([]float64, rows*n.widest())
 	s.brows = rows
 }
 
@@ -95,27 +87,8 @@ func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64
 	for l, w := range n.weights {
 		in, out := n.sizes[l], n.sizes[l+1]
 		a, c := s.bacts[l], s.bacts[l+1]
-		relu := l != last
-		for r0 := 0; r0 < rows; r0 += batchRowBlock {
-			r1 := r0 + batchRowBlock
-			if r1 > rows {
-				r1 = rows
-			}
-			for j := 0; j < out; j++ {
-				row := w[j*in : (j+1)*in]
-				bj := n.biases[l][j]
-				for r := r0; r < r1; r++ {
-					ar := a[r*in : r*in+in]
-					sum := bj
-					for i, xi := range ar {
-						sum += row[i] * xi
-					}
-					if relu && sum < 0 {
-						sum = 0
-					}
-					c[r*out+j] = sum
-				}
-			}
+		for r := 0; r < rows; r++ {
+			dense(w, n.biases[l], a[r*in:r*in+in], c[r*out:r*out+out], l != last)
 		}
 	}
 	return s.bacts[len(n.sizes)-1][:rows*n.OutputSize()], nil

@@ -83,32 +83,87 @@ type Cache struct {
 func (c *Cache) Logits() []float64 { return c.acts[len(c.acts)-1] }
 
 // Forward computes logits for input x, retaining activations for Backward.
+// It is ForwardInto on freshly allocated activations.
 func (n *Network) Forward(x []float64) (*Cache, error) {
 	if len(x) != n.sizes[0] {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadInput, len(x), n.sizes[0])
+		return nil, errInputSize(len(x), n.sizes[0])
 	}
 	cache := &Cache{acts: make([][]float64, len(n.sizes))}
-	cache.acts[0] = append([]float64(nil), x...)
-	cur := cache.acts[0]
+	for l, size := range n.sizes {
+		cache.acts[l] = make([]float64, size)
+	}
+	copy(cache.acts[0], x)
+	n.forward(cache.acts)
+	return cache, nil
+}
+
+// forward runs every layer over acts, whose acts[0] holds the input,
+// writing each layer's output into acts[l+1]: ReLU on hidden layers, raw
+// logits at the output.
+//
+//spear:noalloc
+func (n *Network) forward(acts [][]float64) []float64 {
 	last := len(n.weights) - 1
 	for l, w := range n.weights {
-		in, out := n.sizes[l], n.sizes[l+1]
-		next := make([]float64, out)
-		for j := 0; j < out; j++ {
-			sum := n.biases[l][j]
-			row := w[j*in : (j+1)*in]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			if l != last && sum < 0 {
-				sum = 0 // ReLU on hidden layers
-			}
-			next[j] = sum
-		}
-		cache.acts[l+1] = next
-		cur = next
+		dense(w, n.biases[l], acts[l], acts[l+1], l != last)
 	}
-	return cache, nil
+	return acts[len(acts)-1]
+}
+
+// dense is the one dense-layer kernel: next[j] = b[j] + Σ_i w[j*len(x)+i]·x[i]
+// for every output j, clamped at zero when relu is set. It is register
+// tiled — four output neurons share each pass over x, with four
+// independent accumulators — but every sum still starts at b[j] and adds
+// its products in ascending i, so the result is bit-identical to the plain
+// one-neuron-at-a-time loop; only the interleaving of independent sums
+// changes. Re-slicing each weight row to len(x) lets the compiler drop the
+// bounds checks from the inner loop.
+//
+//spear:noalloc
+func dense(w, b, x, next []float64, relu bool) {
+	in := len(x)
+	for len(next) >= 4 {
+		r0 := w[:in]
+		r1 := w[in:][:in]
+		r2 := w[2*in:][:in]
+		r3 := w[3*in:][:in]
+		s0, s1, s2, s3 := b[0], b[1], b[2], b[3]
+		// dense:tile begin
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		// dense:tile end
+		if relu {
+			s0, s1, s2, s3 = reluClamp(s0), reluClamp(s1), reluClamp(s2), reluClamp(s3)
+		}
+		next[0], next[1], next[2], next[3] = s0, s1, s2, s3
+		w, b, next = w[4*in:], b[4:], next[4:]
+	}
+	for j := range next {
+		row := w[j*in:][:in]
+		sum := b[j]
+		for i, xi := range x {
+			sum += row[i] * xi
+		}
+		if relu {
+			sum = reluClamp(sum)
+		}
+		next[j] = sum
+	}
+}
+
+// reluClamp zeroes negative sums and passes everything else (−0 and NaN
+// included) through unchanged.
+//
+//spear:noalloc
+func reluClamp(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
 }
 
 // Softmax converts logits to probabilities; entries where mask is false get
@@ -185,17 +240,23 @@ type Scratch struct {
 // NewScratch allocates a scratch buffer set shaped like the network.
 func (n *Network) NewScratch() *Scratch {
 	s := &Scratch{acts: make([][]float64, len(n.sizes))}
-	widest := 0
 	for l, size := range n.sizes {
 		s.acts[l] = make([]float64, size)
-		if size > widest {
-			widest = size
-		}
 	}
 	s.probs = make([]float64, n.OutputSize())
-	s.deltaA = make([]float64, widest)
-	s.deltaB = make([]float64, widest)
+	s.deltaA = make([]float64, n.widest())
+	s.deltaB = make([]float64, n.widest())
 	return s
+}
+
+// widest returns the largest layer size, the length of a backprop delta
+// buffer.
+func (n *Network) widest() int {
+	w := 0
+	for _, size := range n.sizes {
+		w = max(w, size)
+	}
+	return w
 }
 
 // Logits returns the output-layer logits of the most recent ForwardInto.
@@ -243,25 +304,7 @@ func (n *Network) ForwardInto(s *Scratch, x []float64) ([]float64, error) {
 		return nil, err
 	}
 	copy(s.acts[0], x)
-	cur := s.acts[0]
-	last := len(n.weights) - 1
-	for l, w := range n.weights {
-		in := n.sizes[l]
-		next := s.acts[l+1]
-		for j := range next {
-			sum := n.biases[l][j]
-			row := w[j*in : (j+1)*in]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			if l != last && sum < 0 {
-				sum = 0 // ReLU on hidden layers
-			}
-			next[j] = sum
-		}
-		cur = next
-	}
-	return cur, nil
+	return n.forward(s.acts), nil
 }
 
 // errMaskSize builds the cold-path mask-mismatch error outside the softmax
@@ -342,12 +385,23 @@ func (n *Network) BackwardInto(s *Scratch, dLogits []float64, g *Grads) error {
 	if err := n.checkScratch(s); err != nil {
 		return err
 	}
-	delta := s.deltaA[:len(dLogits)]
-	spare := s.deltaB
+	n.backprop(s.acts, dLogits, s.deltaA, s.deltaB, g)
+	return nil
+}
+
+// backprop is the one single-sample backward pass: it accumulates the
+// gradients of the forward pass whose activations are acts into g,
+// ping-ponging the per-layer deltas through bufA and bufB, each at least as
+// long as the widest layer.
+//
+//spear:noalloc
+func (n *Network) backprop(acts [][]float64, dLogits, bufA, bufB []float64, g *Grads) {
+	delta := bufA[:len(dLogits)]
+	spare := bufB
 	copy(delta, dLogits)
 	for l := len(n.weights) - 1; l >= 0; l-- {
 		in := n.sizes[l]
-		prev := s.acts[l]
+		prev := acts[l]
 		// Parameter gradients.
 		for j, dj := range delta {
 			g.b[l][j] += dj
@@ -372,14 +426,13 @@ func (n *Network) BackwardInto(s *Scratch, dLogits []float64, g *Grads) error {
 			}
 		}
 		for i := range nextDelta {
-			if s.acts[l][i] <= 0 { // ReLU derivative
+			if prev[i] <= 0 { // ReLU derivative
 				nextDelta[i] = 0
 			}
 		}
 		delta, spare = nextDelta, delta[:cap(delta)]
 	}
 	g.n++
-	return nil
 }
 
 // Grads accumulates parameter gradients across a mini-batch.
@@ -445,40 +498,10 @@ func (g *Grads) Norm() float64 {
 // cross-entropy losses with softmax this is (probs - onehot) * scale).
 func (n *Network) Backward(cache *Cache, dLogits []float64, g *Grads) error {
 	if len(dLogits) != n.OutputSize() {
-		return fmt.Errorf("%w: dLogits %d, want %d", ErrBadInput, len(dLogits), n.OutputSize())
+		return errDLogitsSize(len(dLogits), n.OutputSize())
 	}
-	delta := append([]float64(nil), dLogits...)
-	for l := len(n.weights) - 1; l >= 0; l-- {
-		in := n.sizes[l]
-		prev := cache.acts[l]
-		// Parameter gradients.
-		for j, dj := range delta {
-			g.b[l][j] += dj
-			row := g.w[l][j*in : (j+1)*in]
-			for i, pi := range prev {
-				row[i] += dj * pi
-			}
-		}
-		if l == 0 {
-			break
-		}
-		// Propagate to the previous layer through W and the ReLU.
-		nextDelta := make([]float64, in)
-		w := n.weights[l]
-		for j, dj := range delta {
-			row := w[j*in : (j+1)*in]
-			for i := range nextDelta {
-				nextDelta[i] += dj * row[i]
-			}
-		}
-		for i := range nextDelta {
-			if cache.acts[l][i] <= 0 { // ReLU derivative
-				nextDelta[i] = 0
-			}
-		}
-		delta = nextDelta
-	}
-	g.n++
+	widest := n.widest()
+	n.backprop(cache.acts, dLogits, make([]float64, widest), make([]float64, widest), g)
 	return nil
 }
 
