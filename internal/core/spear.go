@@ -47,8 +47,9 @@ type Config struct {
 	// table keyed by the env's canonical state hash). Default off.
 	UseTranspositions bool
 	// RolloutsPerExpansion runs this many simulations from each expanded
-	// node. With the DRL rollout agent they are lock-stepped through batched
-	// network passes. Zero means the mcts default (1).
+	// node, lock-stepped on the search worker's goroutine; with the DRL
+	// rollout agent every round is one batched network pass. Zero means the
+	// mcts default (1).
 	RolloutsPerExpansion int
 	// Seed feeds the search's random source.
 	Seed int64

@@ -126,7 +126,8 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 	baseline[4] = float64(tr.steps[4].now - tr.makespan) // advantage 0: skipped row
 
 	for _, bonus := range []float64{0, 0.01} {
-		// Sequential reference: one ProbsInto + BackwardInto per step.
+		// Sequential reference: one rows=1 forward and backward pass per
+		// step.
 		want := net.NewGrads()
 		scratch := net.NewScratch()
 		d := make([]float64, net.OutputSize())
@@ -136,7 +137,7 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 				want.AddSamples(1)
 				continue
 			}
-			probs, err := net.ProbsInto(scratch, st.x, st.mask)
+			probs, err := net.ProbsBatchInto(scratch, st.x, 1, st.mask)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +158,7 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 					}
 				}
 			}
-			if err := net.BackwardInto(scratch, d, want); err != nil {
+			if err := net.BackwardBatchInto(scratch, d, 1, want); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -267,7 +267,7 @@ func TestExpanderPicksHighestProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := agent.probs(e, legal)
+	probs, err := agent.probsCtx(agent.newContext(1), e, legal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestEntropyBonusPushesTowardUniform(t *testing.T) {
 	baseline := []float64{float64(tr.steps[0].now - tr.makespan)} // advantage 0
 
 	entropyOf := func() float64 {
-		probs, err := net.Probs(x, mask)
+		probs, err := net.ProbsBatchInto(net.NewScratch(), x, 1, mask)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -262,7 +262,7 @@ func sampleTrajectories(agent *Agent, g *dag.Graph, capacity resource.Vector, cf
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &samplerContext{agent: agent.newContext()}
+			sc := &samplerContext{agent: agent.newContext(1)}
 			for i := range next {
 				trajs[i], errs[i] = sampleOne(agent, sc, base, rand.New(rand.NewSource(seeds[i])))
 			}
@@ -305,7 +305,7 @@ func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, rng *rand.Ran
 		}
 		tr.steps = append(tr.steps, step{
 			x:      append([]float64(nil), sc.agent.x...),
-			mask:   append([]bool(nil), sc.agent.mask...),
+			mask:   append([]bool(nil), sc.agent.masks...),
 			action: feat.IndexFor(a),
 			now:    e.Now(),
 		})

@@ -74,31 +74,40 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 		return nil, err
 	}
 
+	// Each minibatch runs as one batched forward pass and one batched
+	// backward pass over row-major copies of its samples.
+	in, out := net.InputSize(), net.OutputSize()
+	maxRows := min(cfg.BatchSize, len(samples))
+	scratch := net.NewScratch()
+	bx := make([]float64, maxRows*in)
+	bmask := make([]bool, maxRows*out)
+	bd := make([]float64, maxRows*out)
 	losses := make([]float64, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 		var epochLoss float64
 		for start := 0; start < len(samples); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(samples) {
-				end = len(samples)
+			batch := samples[start:min(start+cfg.BatchSize, len(samples))]
+			rows := len(batch)
+			for r, s := range batch {
+				copy(bx[r*in:(r+1)*in], s.x)
+				copy(bmask[r*out:(r+1)*out], s.mask)
+			}
+			probs, err := net.ProbsBatchInto(scratch, bx[:rows*in], rows, bmask[:rows*out])
+			if err != nil {
+				return nil, err
+			}
+			// Losses accumulate in sample order, as the cross-entropy
+			// gradients probs - onehot are formed.
+			d := bd[:rows*out]
+			copy(d, probs)
+			for r, s := range batch {
+				epochLoss += -math.Log(math.Max(probs[r*out+s.action], 1e-12))
+				d[r*out+s.action] -= 1
 			}
 			grads := net.NewGrads()
-			for _, s := range samples[start:end] {
-				cache, err := net.Forward(s.x)
-				if err != nil {
-					return nil, err
-				}
-				probs, err := nn.Softmax(cache.Logits(), s.mask)
-				if err != nil {
-					return nil, err
-				}
-				epochLoss += -math.Log(math.Max(probs[s.action], 1e-12))
-				d := append([]float64(nil), probs...)
-				d[s.action] -= 1
-				if err := net.Backward(cache, d, grads); err != nil {
-					return nil, err
-				}
+			if err := net.BackwardBatchInto(scratch, d, rows, grads); err != nil {
+				return nil, err
 			}
 			if err := net.Apply(grads, cfg.Opt); err != nil {
 				return nil, err

@@ -14,7 +14,8 @@ import (
 
 // AblationResult isolates the contribution of each Spear design choice
 // (§III-C/D): DRL-guided expansion, DRL-guided rollouts, the budget decay
-// of Eq. 4, and leaf-parallel rollouts.
+// of Eq. 4, and several rollouts per expansion (lock-stepped on the search
+// goroutine).
 type AblationResult struct {
 	Graphs  int
 	Tasks   int

@@ -213,7 +213,7 @@ func isStringType(t types.Type) bool {
 }
 
 // displayName renders a function for diagnostics, module-path-relative:
-// "internal/nn.SoftmaxInto", "(*internal/simenv.Env).Step".
+// "internal/nn.New", "(*internal/simenv.Env).Step".
 func (r *Runner) displayName(fn *types.Func) string {
 	name := fn.FullName()
 	name = strings.ReplaceAll(name, r.modulePath+"/", "")

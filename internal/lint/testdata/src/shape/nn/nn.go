@@ -25,14 +25,6 @@ func (n *Network) ForwardInto(s *Scratch, x []float64) ([]float64, error) {
 	return nil, nil
 }
 
-func (n *Network) ProbsInto(s *Scratch, x []float64, mask []bool) ([]float64, error) {
-	return nil, nil
-}
-
-func (n *Network) BackwardInto(s *Scratch, dLogits []float64, g *Grads) error {
-	return nil
-}
-
 func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64, error) {
 	return nil, nil
 }

@@ -16,9 +16,10 @@ func good() {
 	mask := make([]bool, 3)
 	d := make([]float64, 3)
 	var g nn.Grads
+	rows := 1
 	net.ForwardInto(s, x)
-	net.ProbsInto(s, x, mask)
-	net.BackwardInto(s, d, &g)
+	net.ProbsBatchInto(s, x, rows, mask)
+	net.BackwardBatchInto(s, d, rows, &g)
 }
 
 // badInput: the input buffer disagrees with the first layer size.
@@ -29,22 +30,25 @@ func badInput() {
 	net.ForwardInto(s, x) // want "input x has length 7 but the network input dimension is 4"
 }
 
-// badMask: the action mask must match the output layer.
+// badMask: the action mask of a single decision must match the output layer.
 func badMask() {
 	net, _ := nn.New([]int{4, 8, 3}, 1)
 	s := net.NewScratch()
+	rows := 1
 	x := make([]float64, 4)
 	mask := make([]bool, 2)
-	net.ProbsInto(s, x, mask) // want "mask has length 2 but the network output dimension is 3"
+	net.ProbsBatchInto(s, x, rows, mask) // want "batch masks has length 2 but the network rows×output size is 3"
 }
 
-// badDLogits: the backward seed must match the output layer.
+// badDLogits: the backward seed of a single sample must match the output
+// layer.
 func badDLogits() {
 	net, _ := nn.New([]int{4, 8, 3}, 1)
 	s := net.NewScratch()
+	rows := 1
 	d := make([]float64, 5)
 	var g nn.Grads
-	net.BackwardInto(s, d, &g) // want "dLogits has length 5 but the network output dimension is 3"
+	net.BackwardBatchInto(s, d, rows, &g) // want "batch dLogits has length 5 but the network rows×output size is 3"
 }
 
 // badBatch: batch buffers scale with the row count (2 rows x 4 inputs = 8).

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,9 +72,9 @@ type Config struct {
 	ExplorationScale float64
 	// Rollout simulates from expanded nodes to termination. Default: the
 	// uniformly random policy of classic MCTS. When the policy also
-	// implements simenv.BatchPolicy, simulations with RolloutsPerExpansion
-	// > 1 run lock-stepped through batched policy evaluations (same results
-	// as per-episode rollouts, fewer network passes).
+	// implements simenv.BatchPolicy, the lock-stepped simulations of
+	// RolloutsPerExpansion > 1 share batched policy evaluations (same
+	// results as per-episode rollouts, fewer network passes).
 	Rollout simenv.Policy
 	// Expand orders unexplored actions during expansion. Default: uniform
 	// random. With TreeParallelism > 1 every search worker shares this
@@ -100,11 +99,11 @@ type Config struct {
 	// arm for the paper's budget-decay design choice.
 	DisableBudgetDecay bool
 	// RolloutsPerExpansion runs this many simulations from each expanded
-	// node instead of one, in parallel (the paper notes MCTS "can easily be
-	// parallelized" [16]; this is leaf parallelization). A BatchPolicy
-	// rollout lock-steps them through batched evaluations; any other policy
-	// fans them out over min(GOMAXPROCS, RolloutsPerExpansion) goroutines.
-	// Each simulation's value is backpropagated. Default 1.
+	// node instead of one. They run lock-stepped on the search worker's own
+	// goroutine, one step of every live episode per round: a BatchPolicy
+	// decides each round in one batched evaluation, any other policy one
+	// episode at a time. Each simulation's value is backpropagated.
+	// Default 1.
 	RolloutsPerExpansion int
 	// TreeParallelism runs this many workers inside the search tree (tree
 	// parallelization): the workers descend one shared arena-allocated tree
@@ -303,25 +302,24 @@ type treeWorker struct {
 }
 
 // simWorker is one shared-tree search worker and everything it owns: a
-// private rng and expander, per-rollout-goroutine contexts and simulation
-// buffers, and the per-search-phase stat deltas that the scheduler
-// aggregates after every decision.
+// private rng and expander, its rollout context and simulation buffers, and
+// the per-search-phase stat deltas that the scheduler aggregates after
+// every decision.
 type simWorker struct {
 	tw     *treeWorker
 	rng    *rand.Rand
 	expand Expander
 
-	// rctx holds one rollout context per leaf-parallel rollout goroutine;
-	// brc is the lock-step batched alternative, non-nil when the rollout
-	// policy supports batching. Both persist across Schedule calls.
-	rctx []*simenv.RolloutContext
+	// rctx plays the single simulation of RolloutsPerExpansion = 1; brc
+	// lock-steps the simulations of RolloutsPerExpansion > 1. Exactly one
+	// is non-nil, and it persists across Schedule calls.
+	rctx *simenv.RolloutContext
 	brc  *simenv.BatchRolloutContext
 
-	// simulate's reusable result/seed/makespan/error buffers.
+	// simulate's reusable result/seed/makespan buffers.
 	simValues []float64
 	simSeeds  []int64
 	simSpans  []int64
-	simErrs   []error
 
 	// Per-search-phase stat deltas and error, reset by resetPhase and
 	// aggregated by Scheduler.collect once the phase's goroutines joined.
@@ -343,10 +341,10 @@ func (s *Scheduler) newTree() *treeWorker {
 		} else {
 			sw.expand = s.cfg.Expand
 		}
-		if s.cfg.RolloutsPerExpansion > 1 {
-			if bp, ok := s.cfg.Rollout.(simenv.BatchPolicy); ok {
-				sw.brc = simenv.NewBatchRolloutContext(bp, s.cfg.RolloutsPerExpansion)
-			}
+		if k := s.cfg.RolloutsPerExpansion; k > 1 {
+			sw.brc = simenv.NewBatchRolloutContext(s.cfg.Rollout, k)
+		} else {
+			sw.rctx = simenv.NewRolloutContext(s.cfg.Rollout)
 		}
 		tw.sims = append(tw.sims, sw)
 	}
@@ -745,7 +743,7 @@ func (sw *simWorker) iterate(rootDepth int, c float64) error {
 		sw.maxDepth = depth
 	}
 	// Simulation: roll out to termination with the configured policy
-	// (batched or leaf-parallel when RolloutsPerExpansion > 1).
+	// (lock-stepped when RolloutsPerExpansion > 1).
 	values, err := sw.simulate(n, sw.rng)
 	if err != nil {
 		return err
@@ -846,7 +844,7 @@ func (s *Scheduler) finishCancelled(ctx context.Context, env *simenv.Env, rng *r
 	s.stats.Cancelled = true
 	e := env.Clone()
 	if !e.Done() {
-		if _, err := simenv.Rollout(e, s.cfg.Rollout, rng); err != nil {
+		if _, err := simenv.NewRolloutContext(s.cfg.Rollout).Rollout(e, rng); err != nil {
 			return nil, fmt.Errorf("mcts: completing cancelled search: %w", err)
 		}
 	}
@@ -872,31 +870,15 @@ func (s *Scheduler) explorationConstant(g *dag.Graph, spec cluster.Spec) (float6
 	return s.cfg.ExplorationScale * float64(est.Makespan), nil
 }
 
-// rolloutContext returns the sim worker's persistent rollout context for
-// rollout goroutine i, growing the pool as needed. Must only be called
-// from the sim worker's own goroutine (contexts are created serially,
-// before rollout goroutines are spawned).
-func (sw *simWorker) rolloutContext(i int) *simenv.RolloutContext {
-	for len(sw.rctx) <= i {
-		sw.rctx = append(sw.rctx, simenv.NewRolloutContext(sw.tw.s.cfg.Rollout))
-	}
-	return sw.rctx[i]
-}
-
-// simBuffers returns the reusable value/seed/error slices sized for k
-// simulations, zeroing the error slots.
-func (sw *simWorker) simBuffers(k int) ([]float64, []int64, []error) {
+// simBuffers returns the reusable value and seed slices sized for k
+// simulations.
+func (sw *simWorker) simBuffers(k int) ([]float64, []int64) {
 	if cap(sw.simValues) < k {
 		sw.simValues = make([]float64, k)
 		sw.simSeeds = make([]int64, k)
 		sw.simSpans = make([]int64, k)
-		sw.simErrs = make([]error, k)
 	}
-	values, seeds, errs := sw.simValues[:k], sw.simSeeds[:k], sw.simErrs[:k]
-	for i := range errs {
-		errs[i] = nil
-	}
-	return values, seeds, errs
+	return sw.simValues[:k], sw.simSeeds[:k]
 }
 
 // simulate estimates node n's value with one or more rollouts, returning one
@@ -906,72 +888,36 @@ func (sw *simWorker) simBuffers(k int) ([]float64, []int64, []error) {
 // RolloutsPerExpansion = k, a terminal leaf must carry the same backup
 // weight (k visits) as an expanded leaf, or terminal values are diluted
 // k-fold in every ancestor's mean. Multi-rollout simulations draw their
-// seeds from rng sequentially and apply them by index, so results are
-// deterministic and identical whether the episodes run lock-stepped through
-// the batched policy path or spread over rollout goroutines.
+// seeds from rng sequentially and apply them by index, so each episode is
+// the one a lone rollout with that seed would play.
 func (sw *simWorker) simulate(n *anode, rng *rand.Rand) ([]float64, error) {
 	k := sw.tw.s.cfg.RolloutsPerExpansion
 	if n.env.Done() {
-		values, _, _ := sw.simBuffers(k)
+		values, _ := sw.simBuffers(k)
 		exact := -float64(n.env.Makespan())
 		for i := range values {
 			values[i] = exact
 		}
 		return values, nil
 	}
+	values, seeds := sw.simBuffers(k)
 	if k == 1 {
-		makespan, err := sw.rolloutContext(0).RolloutFrom(n.env, rng)
+		makespan, err := sw.rctx.RolloutFrom(n.env, rng)
 		if err != nil {
 			return nil, fmt.Errorf("mcts: rollout %s: %w", sw.tw.s.cfg.Rollout.Name(), err)
 		}
-		values, _, _ := sw.simBuffers(1)
 		values[0] = -float64(makespan)
 		return values, nil
 	}
-
-	values, seeds, errs := sw.simBuffers(k)
 	for i := range seeds {
 		seeds[i] = rng.Int63()
 	}
-	if sw.brc != nil {
-		// Lock-step batched path: one goroutine advances all k episodes,
-		// evaluating the policy once per step for the whole batch.
-		spans := sw.simSpans[:k]
-		if err := sw.brc.RolloutsFrom(n.env, seeds, spans); err != nil {
-			return nil, fmt.Errorf("mcts: rollout %s: %w", sw.tw.s.cfg.Rollout.Name(), err)
-		}
-		for i, ms := range spans {
-			values[i] = -float64(ms)
-		}
-		return values, nil
+	spans := sw.simSpans[:k]
+	if err := sw.brc.RolloutsFrom(n.env, seeds, spans); err != nil {
+		return nil, fmt.Errorf("mcts: rollout %s: %w", sw.tw.s.cfg.Rollout.Name(), err)
 	}
-	workers := min(runtime.GOMAXPROCS(0), k)
-	// Create the contexts serially before spawning: rolloutContext grows
-	// sw.rctx and must not race with itself.
-	for w := 0; w < workers; w++ {
-		sw.rolloutContext(w)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rc := sw.rctx[w]
-			for i := w; i < k; i += workers {
-				makespan, err := rc.RolloutFrom(n.env, rand.New(rand.NewSource(seeds[i])))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				values[i] = -float64(makespan)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mcts: rollout %s: %w", sw.tw.s.cfg.Rollout.Name(), err)
-		}
+	for i, ms := range spans {
+		values[i] = -float64(ms)
 	}
 	return values, nil
 }

@@ -448,19 +448,20 @@ func (p batchRandom) ChooseBatch(_ simenv.BatchPolicyContext, envs []*simenv.Env
 	return nil
 }
 
-// TestBatchedRolloutsMatchUnbatched pins the lock-step batched simulation
-// path to the goroutine-parallel one: with per-index seeds a BatchPolicy
-// rollout and the same policy without the batch interface must yield the
-// same schedule, so batching only changes the number of policy passes.
+// TestBatchedRolloutsMatchUnbatched pins the two ways a lock-step round is
+// decided to each other: with per-index seeds a BatchPolicy rollout (one
+// ChooseBatch per round) and the same policy without the batch interface
+// (one Choose per row) must yield the same schedule, so batching only
+// changes the number of policy passes.
 func TestBatchedRolloutsMatchUnbatched(t *testing.T) {
 	g, capacity := smallRandomDAG(29, 25)
-	run := func(rollout simenv.Policy, batched bool) *sched.Schedule {
+	run := func(rollout simenv.Policy) *sched.Schedule {
 		s := New(Config{
 			InitialBudget: 40, MinBudget: 8, Seed: 11,
 			RolloutsPerExpansion: 3, Rollout: rollout,
 		})
-		if got := s.tree.sims[0].brc != nil; got != batched {
-			t.Fatalf("%T: batched rollout context built = %v, want %v", rollout, got, batched)
+		if sw := s.tree.sims[0]; sw.brc == nil || sw.rctx != nil {
+			t.Fatalf("%T: k=3 must lock-step: brc %v, rctx %v", rollout, sw.brc, sw.rctx)
 		}
 		out, err := s.Schedule(g, cluster.Single(capacity))
 		if err != nil {
@@ -468,7 +469,7 @@ func TestBatchedRolloutsMatchUnbatched(t *testing.T) {
 		}
 		return out
 	}
-	batched, plain := run(batchRandom{}, true), run(baselines.Random{}, false)
+	batched, plain := run(batchRandom{}), run(baselines.Random{})
 	if batched.Makespan != plain.Makespan {
 		t.Errorf("batched rollouts makespan %d, unbatched %d", batched.Makespan, plain.Makespan)
 	}

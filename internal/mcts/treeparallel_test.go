@@ -31,8 +31,8 @@ func placementHash(out *sched.Schedule) uint64 {
 // pre-rewrite pointer-tree search: the golden rows below were captured by
 // running the legacy implementation (per-node heap allocation, float64
 // statistics, recursive child slices) over every search feature — tree
-// reuse, budget decay on/off, CP rollouts, windows, leaf-parallel
-// rollouts, multi-machine clusters and the DRL-guided policies. With
+// reuse, budget decay on/off, CP rollouts, windows, several rollouts per
+// expansion, multi-machine clusters and the DRL-guided policies. With
 // TreeParallelism = 1 and transpositions off, the rewrite must reproduce
 // every makespan, every counter and every placement slot bit for bit.
 func TestLegacyGoldenBitIdentity(t *testing.T) {
@@ -151,10 +151,10 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 }
 
 // TestTreeParallelRaceHammer drives the shared tree hard under the race
-// detector: J=4 workers, transpositions on, leaf-parallel rollouts, several
-// Schedule calls on one scheduler (arena reuse), and a J=2 search sharing
-// the obs registry. Run with -race; correctness here is "no race, valid
-// schedule, consistent counters".
+// detector: J=4 workers, transpositions on, several rollouts per
+// expansion, several Schedule calls on one scheduler (arena reuse), and a
+// J=2 search sharing the obs registry. Run with -race; correctness here is
+// "no race, valid schedule, consistent counters".
 func TestTreeParallelRaceHammer(t *testing.T) {
 	g, capacity := smallRandomDAG(33, 30)
 	reg := obs.NewRegistry()

@@ -1,32 +1,34 @@
-// Batched inference and backprop: the matrix-matrix counterpart of the
-// ForwardInto/ProbsInto/BackwardInto fast path, over row-major batches in
-// the scratch's batch buffers. Batched inference runs the same dense kernel
-// once per row, so row r is bit-identical to ForwardInto on that row; its
-// win is one call per batch for the lock-step rollout and training callers.
-// Batched backprop streams each weight row once per batch and accumulates
-// rows in ascending order, matching sequential BackwardInto bit for bit.
+// Batched inference and backprop: the one kernel family every network
+// caller runs, over row-major batches in the scratch's buffers. A single
+// decision is a batch of one row. Inference runs the dense kernel once per
+// row, so row r of a batch is bit-identical to a one-row call on that row.
+// Backprop streams each weight row once per batch and accumulates rows in
+// ascending order, matching one-row calls in row order bit for bit.
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// ensureBatch grows the scratch's batch buffers to hold at least rows rows.
+// ensureBatch grows the scratch's buffers to hold at least rows rows.
 // Growth allocates; once sized, batch calls are allocation-free.
 //
 //spear:slowpath
 func (n *Network) ensureBatch(s *Scratch, rows int) {
-	if s.brows >= rows {
+	if s.rows >= rows {
 		return
 	}
-	if s.bacts == nil {
-		s.bacts = make([][]float64, len(n.sizes))
+	if s.acts == nil {
+		s.acts = make([][]float64, len(n.sizes))
 	}
 	for l, size := range n.sizes {
-		s.bacts[l] = make([]float64, rows*size)
+		s.acts[l] = make([]float64, rows*size)
 	}
-	s.bprobs = make([]float64, rows*n.OutputSize())
-	s.bdeltaA = make([]float64, rows*n.widest())
-	s.bdeltaB = make([]float64, rows*n.widest())
-	s.brows = rows
+	s.probs = make([]float64, rows*n.OutputSize())
+	s.deltaA = make([]float64, rows*n.widest())
+	s.deltaB = make([]float64, rows*n.widest())
+	s.rows = rows
 }
 
 // Cold-path error constructors for the //spear:noalloc batch kernels, where
@@ -65,8 +67,8 @@ func errBatchCold(have, want int) error {
 // ForwardBatchInto computes logits for a row-major batch x (rows vectors of
 // InputSize each) into the scratch's batch buffers, returning the row-major
 // rows x OutputSize logits. The returned slice is owned by the scratch and
-// valid until its next batch call. Row r's result is bit-identical to
-// ForwardInto on x[r*in:(r+1)*in]. Buffer growth happens in ensureBatch;
+// valid until its next batch call. Row r's result is bit-identical to a
+// one-row call on x[r*in:(r+1)*in]. Buffer growth happens in ensureBatch;
 // once the scratch is warm this kernel never touches the heap.
 //
 //spear:noalloc
@@ -82,16 +84,25 @@ func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64
 		return nil, err
 	}
 	n.ensureBatch(s, rows)
-	copy(s.bacts[0][:rows*in0], x)
+	copy(s.acts[0][:rows*in0], x)
 	last := len(n.weights) - 1
 	for l, w := range n.weights {
 		in, out := n.sizes[l], n.sizes[l+1]
-		a, c := s.bacts[l], s.bacts[l+1]
+		a, c := s.acts[l], s.acts[l+1]
 		for r := 0; r < rows; r++ {
 			dense(w, n.biases[l], a[r*in:r*in+in], c[r*out:r*out+out], l != last)
 		}
 	}
-	return s.bacts[len(n.sizes)-1][:rows*n.OutputSize()], nil
+	return s.acts[len(n.sizes)-1][:rows*n.OutputSize()], nil
+}
+
+// ForwardInto computes the logits of one input vector: it is
+// ForwardBatchInto(s, x, 1), the single-decision case of the batch kernel.
+// The returned slice is owned by the scratch and valid until its next call.
+//
+//spear:noalloc
+func (n *Network) ForwardInto(s *Scratch, x []float64) ([]float64, error) {
+	return n.ForwardBatchInto(s, x, 1)
 }
 
 // ProbsBatchInto is ForwardBatchInto followed by a masked softmax per row.
@@ -108,25 +119,61 @@ func (n *Network) ProbsBatchInto(s *Scratch, x []float64, rows int, masks []bool
 	if err != nil {
 		return nil, err
 	}
-	probs := s.bprobs[:rows*out]
+	probs := s.probs[:rows*out]
 	for r := 0; r < rows; r++ {
 		var mask []bool
 		if masks != nil {
 			mask = masks[r*out : (r+1)*out]
 		}
-		if _, err := SoftmaxInto(logits[r*out:(r+1)*out], mask, probs[r*out:(r+1)*out]); err != nil {
+		if err := softmaxInto(logits[r*out:(r+1)*out], mask, probs[r*out:(r+1)*out]); err != nil {
 			return nil, errBatchRow(r, err)
 		}
 	}
 	return probs, nil
 }
 
+// softmaxInto writes the masked softmax of logits into out, which must have
+// the logits' length, as must a non-nil mask. Masked entries get
+// probability zero.
+//
+//spear:noalloc
+func softmaxInto(logits []float64, mask []bool, out []float64) error {
+	max := math.Inf(-1)
+	any := false
+	for i, v := range logits {
+		if mask != nil && !mask[i] {
+			continue
+		}
+		any = true
+		if v > max {
+			max = v
+		}
+	}
+	if !any {
+		return ErrAllMasked
+	}
+	var sum float64
+	for i, v := range logits {
+		if mask != nil && !mask[i] {
+			out[i] = 0
+			continue
+		}
+		e := math.Exp(v - max)
+		out[i] = e
+		sum += e
+	}
+	for i := range out {
+		out[i] /= sum
+	}
+	return nil
+}
+
 // BackwardBatchInto accumulates gradients for a whole batch given the
 // row-major dLogits (rows x OutputSize) and the activations of the scratch's
 // most recent ForwardBatchInto, which must have covered at least rows rows.
 // Contributions are accumulated in row order, so the result is bit-identical
-// to rows sequential BackwardInto calls, while each weight row is streamed
-// once per batch instead of once per sample.
+// to rows one-row calls in sequence, while each weight row is streamed once
+// per batch instead of once per sample.
 //
 //spear:noalloc
 func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *Grads) error {
@@ -137,15 +184,15 @@ func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *
 	if err := n.checkScratch(s); err != nil {
 		return err
 	}
-	if s.brows < rows {
-		return errBatchCold(s.brows, rows)
+	if s.rows < rows {
+		return errBatchCold(s.rows, rows)
 	}
-	delta := s.bdeltaA[:rows*out0]
-	spare := s.bdeltaB
+	delta := s.deltaA[:rows*out0]
+	spare := s.deltaB
 	copy(delta, dLogits)
 	for l := len(n.weights) - 1; l >= 0; l-- {
 		in, out := n.sizes[l], n.sizes[l+1]
-		prev := s.bacts[l]
+		prev := s.acts[l]
 		// Parameter gradients: for a fixed (j, i) the rows accumulate in
 		// ascending order, matching sequential per-sample backprop.
 		for j := 0; j < out; j++ {

@@ -23,6 +23,8 @@ func randomBatch(rng *rand.Rand, rows, in, out int) (x []float64, masks []bool) 
 	return x, masks
 }
 
+// TestForwardBatchIntoMatchesForwardInto pins every row of a batch to the
+// one-row call and to the reference layer loop, bit for bit.
 func TestForwardBatchIntoMatchesForwardInto(t *testing.T) {
 	n := newNet(t, 7, 12, 9, 5)
 	batchScratch := n.NewScratch()
@@ -42,18 +44,23 @@ func TestForwardBatchIntoMatchesForwardInto(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			acts := referenceForward(n, x[r*7:(r+1)*7])
+			ref := acts[len(acts)-1]
 			for j := range want {
 				// The batched kernel keeps the per-row accumulation order, so
 				// equality is exact, not approximate.
-				if logits[r*5+j] != want[j] {
-					t.Fatalf("rows=%d row %d logit %d: batch %g, single %g",
-						rows, r, j, logits[r*5+j], want[j])
+				if logits[r*5+j] != want[j] || want[j] != ref[j] {
+					t.Fatalf("rows=%d row %d logit %d: batch %g, single %g, reference %g",
+						rows, r, j, logits[r*5+j], want[j], ref[j])
 				}
 			}
 		}
 	}
 }
 
+// TestProbsBatchIntoMatchesProbsInto pins every row of a masked batch to
+// the one-row call and to the reference forward pass plus softmax, and
+// checks that the probabilities live in the scratch's reused buffer.
 func TestProbsBatchIntoMatchesProbsInto(t *testing.T) {
 	n := newNet(t, 6, 10, 4)
 	batchScratch := n.NewScratch()
@@ -66,22 +73,30 @@ func TestProbsBatchIntoMatchesProbsInto(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < rows; r++ {
-		want, err := n.ProbsInto(rowScratch, x[r*6:(r+1)*6], masks[r*4:(r+1)*4])
+		want, err := n.ProbsBatchInto(rowScratch, x[r*6:(r+1)*6], 1, masks[r*4:(r+1)*4])
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := referenceProbs(t, n, x[r*6:(r+1)*6], masks[r*4:(r+1)*4])
 		for j := range want {
-			if probs[r*4+j] != want[j] {
-				t.Fatalf("row %d prob %d: batch %g, single %g", r, j, probs[r*4+j], want[j])
+			if probs[r*4+j] != want[j] || want[j] != ref[j] {
+				t.Fatalf("row %d prob %d: batch %g, single %g, reference %g", r, j, probs[r*4+j], want[j], ref[j])
 			}
 		}
 	}
 	// A nil mask set allows everything.
-	if _, err := n.ProbsBatchInto(batchScratch, x, rows, nil); err != nil {
+	again, err := n.ProbsBatchInto(batchScratch, x, rows, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if &again[0] != &probs[0] {
+		t.Error("ProbsBatchInto did not reuse the scratch probs buffer")
 	}
 }
 
+// TestBackwardBatchIntoMatchesSequential pins batched backprop to the
+// reference one-sample backward pass run row by row, and to rows=1 batch
+// calls in row order: all three give bit-identical gradients.
 func TestBackwardBatchIntoMatchesSequential(t *testing.T) {
 	n := newNet(t, 5, 9, 7, 3)
 	batchScratch := n.NewScratch()
@@ -90,22 +105,31 @@ func TestBackwardBatchIntoMatchesSequential(t *testing.T) {
 	const rows = 9
 	x, masks := randomBatch(rng, rows, 5, 3)
 
-	// Sequential reference: forward + backward per row, rows in order.
+	// Reference: forward + softmax + backward per row, rows in order.
 	want := n.NewGrads()
 	d := make([]float64, rows*3)
+	bufA, bufB := make([]float64, n.widest()), make([]float64, n.widest())
 	for r := 0; r < rows; r++ {
-		probs, err := n.ProbsInto(rowScratch, x[r*5:(r+1)*5], masks[r*3:(r+1)*3])
+		acts := referenceForward(n, x[r*5:(r+1)*5])
+		probs, err := referenceSoftmax(acts[len(acts)-1], masks[r*3:(r+1)*3])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range probs {
-			d[r*3+j] = probs[j]
-		}
+		copy(d[r*3:(r+1)*3], probs)
 		d[r*3] -= 1 // pretend action 0 was taken
-		if err := n.BackwardInto(rowScratch, d[r*3:(r+1)*3], want); err != nil {
+		n.referenceBackprop(acts, d[r*3:(r+1)*3], bufA, bufB, want)
+	}
+
+	oneRow := n.NewGrads()
+	for r := 0; r < rows; r++ {
+		if _, err := n.ForwardInto(rowScratch, x[r*5:(r+1)*5]); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.BackwardBatchInto(rowScratch, d[r*3:(r+1)*3], 1, oneRow); err != nil {
 			t.Fatal(err)
 		}
 	}
+	sameGrads(t, oneRow, want)
 
 	got := n.NewGrads()
 	if _, err := n.ProbsBatchInto(batchScratch, x, rows, masks); err != nil {
@@ -114,21 +138,7 @@ func TestBackwardBatchIntoMatchesSequential(t *testing.T) {
 	if err := n.BackwardBatchInto(batchScratch, d, rows, got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Samples() != want.Samples() {
-		t.Fatalf("samples: batch %d, sequential %d", got.Samples(), want.Samples())
-	}
-	for l := range want.w {
-		for i := range want.w[l] {
-			if got.w[l][i] != want.w[l][i] {
-				t.Fatalf("layer %d weight %d: batch %g, sequential %g", l, i, got.w[l][i], want.w[l][i])
-			}
-		}
-		for i := range want.b[l] {
-			if got.b[l][i] != want.b[l][i] {
-				t.Fatalf("layer %d bias %d: batch %g, sequential %g", l, i, got.b[l][i], want.b[l][i])
-			}
-		}
-	}
+	sameGrads(t, got, want)
 }
 
 func TestBatchErrors(t *testing.T) {

@@ -24,34 +24,6 @@ func benchInput(n *Network) []float64 {
 	return x
 }
 
-func BenchmarkForward(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProbsMasked(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	mask := make([]bool, n.OutputSize())
-	for i := 0; i < len(mask); i += 2 {
-		mask[i] = true
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.Probs(x, mask); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkForwardInto(b *testing.B) {
 	n := paperNet(b)
 	x := benchInput(n)
@@ -65,7 +37,9 @@ func BenchmarkForwardInto(b *testing.B) {
 	}
 }
 
-func BenchmarkProbsIntoMasked(b *testing.B) {
+// BenchmarkProbsOneRowMasked measures one masked single-decision inference,
+// the rows=1 case of ProbsBatchInto.
+func BenchmarkProbsOneRowMasked(b *testing.B) {
 	n := paperNet(b)
 	x := benchInput(n)
 	s := n.NewScratch()
@@ -76,7 +50,7 @@ func BenchmarkProbsIntoMasked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.ProbsInto(s, x, mask); err != nil {
+		if _, err := n.ProbsBatchInto(s, x, 1, mask); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,67 +121,18 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-func BenchmarkBackward(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	cache, err := n.Forward(x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[3] -= 1
-	g := n.NewGrads()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.Backward(cache, d, g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBackwardInto(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	s := n.NewScratch()
-	if _, err := n.ForwardInto(s, x); err != nil {
-		b.Fatal(err)
-	}
-	probs, err := Softmax(s.Logits(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[3] -= 1
-	g := n.NewGrads()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.BackwardInto(s, d, g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkApplyRMSProp(b *testing.B) {
 	n := paperNet(b)
 	x := benchInput(n)
-	cache, err := n.Forward(x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
+	s := n.NewScratch()
+	probs, err := n.ProbsBatchInto(s, x, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	d := append([]float64(nil), probs...)
 	d[3] -= 1
 	g := n.NewGrads()
-	if err := n.Backward(cache, d, g); err != nil {
+	if err := n.BackwardBatchInto(s, d, 1, g); err != nil {
 		b.Fatal(err)
 	}
 	opt := DefaultRMSProp()

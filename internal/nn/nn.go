@@ -38,13 +38,8 @@ var (
 // New builds a network with the given layer sizes (input first, output
 // last) and He-initialized weights.
 func New(sizes []int, rng *rand.Rand) (*Network, error) {
-	if len(sizes) < 2 {
-		return nil, fmt.Errorf("%w: need at least input and output, got %v", ErrBadShape, sizes)
-	}
-	for _, s := range sizes {
-		if s < 1 {
-			return nil, fmt.Errorf("%w: non-positive layer size in %v", ErrBadShape, sizes)
-		}
+	if err := checkSizes(sizes); err != nil {
+		return nil, err
 	}
 	n := &Network{sizes: append([]int(nil), sizes...)}
 	for l := 0; l < len(sizes)-1; l++ {
@@ -62,6 +57,19 @@ func New(sizes []int, rng *rand.Rand) (*Network, error) {
 	return n, nil
 }
 
+// checkSizes rejects fewer than two layers and any non-positive layer size.
+func checkSizes(sizes []int) error {
+	if len(sizes) < 2 {
+		return fmt.Errorf("%w: need at least input and output, got %v", ErrBadShape, sizes)
+	}
+	for _, s := range sizes {
+		if s < 1 {
+			return fmt.Errorf("%w: non-positive layer size in %v", ErrBadShape, sizes)
+		}
+	}
+	return nil
+}
+
 // Sizes returns a copy of the layer sizes.
 func (n *Network) Sizes() []int { return append([]int(nil), n.sizes...) }
 
@@ -70,45 +78,6 @@ func (n *Network) InputSize() int { return n.sizes[0] }
 
 // OutputSize returns the number of logits.
 func (n *Network) OutputSize() int { return n.sizes[len(n.sizes)-1] }
-
-// Cache holds the per-layer activations of one forward pass, needed by
-// Backward.
-type Cache struct {
-	// acts[0] is the input; acts[l+1] is the post-ReLU activation of layer
-	// l (for the last layer: raw logits).
-	acts [][]float64
-}
-
-// Logits returns the output-layer logits of the cached pass.
-func (c *Cache) Logits() []float64 { return c.acts[len(c.acts)-1] }
-
-// Forward computes logits for input x, retaining activations for Backward.
-// It is ForwardInto on freshly allocated activations.
-func (n *Network) Forward(x []float64) (*Cache, error) {
-	if len(x) != n.sizes[0] {
-		return nil, errInputSize(len(x), n.sizes[0])
-	}
-	cache := &Cache{acts: make([][]float64, len(n.sizes))}
-	for l, size := range n.sizes {
-		cache.acts[l] = make([]float64, size)
-	}
-	copy(cache.acts[0], x)
-	n.forward(cache.acts)
-	return cache, nil
-}
-
-// forward runs every layer over acts, whose acts[0] holds the input,
-// writing each layer's output into acts[l+1]: ReLU on hidden layers, raw
-// logits at the output.
-//
-//spear:noalloc
-func (n *Network) forward(acts [][]float64) []float64 {
-	last := len(n.weights) - 1
-	for l, w := range n.weights {
-		dense(w, n.biases[l], acts[l], acts[l+1], l != last)
-	}
-	return acts[len(acts)-1]
-}
 
 // dense is the one dense-layer kernel: next[j] = b[j] + Σ_i w[j*len(x)+i]·x[i]
 // for every output j, clamped at zero when relu is set. It is register
@@ -166,86 +135,30 @@ func reluClamp(v float64) float64 {
 	return v
 }
 
-// Softmax converts logits to probabilities; entries where mask is false get
-// probability zero. A nil mask means all actions are allowed.
-func Softmax(logits []float64, mask []bool) ([]float64, error) {
-	if mask != nil && len(mask) != len(logits) {
-		return nil, fmt.Errorf("%w: mask size %d, logits %d", ErrBadInput, len(mask), len(logits))
-	}
-	max := math.Inf(-1)
-	any := false
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		any = true
-		if v > max {
-			max = v
-		}
-	}
-	if !any {
-		return nil, ErrAllMasked
-	}
-	out := make([]float64, len(logits))
-	var sum float64
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		e := math.Exp(v - max)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out, nil
-}
-
-// Probs is Forward followed by masked Softmax, discarding the cache.
-func (n *Network) Probs(x []float64, mask []bool) ([]float64, error) {
-	cache, err := n.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	return Softmax(cache.Logits(), mask)
-}
-
-// Scratch holds reusable per-layer buffers for the allocation-free inference
-// and backprop fast path (ForwardInto / ProbsInto / BackwardInto). A Scratch
-// is shaped for the network that created it and must not be shared across
-// goroutines; give every worker its own via NewScratch.
+// Scratch holds the reusable per-layer buffers of the allocation-free
+// inference and backprop path (ForwardBatchInto / ProbsBatchInto /
+// BackwardBatchInto). A single decision is simply a batch of one row. A
+// Scratch is shaped for the network that created it and must not be shared
+// across goroutines; give every worker its own via NewScratch.
 //
 //spear:packed
 type Scratch struct {
-	// acts mirrors Cache.acts: acts[0] is the input copy, acts[l+1] the
-	// post-ReLU activation of layer l (raw logits for the last layer).
-	acts  [][]float64
-	probs []float64
-	// deltaA/deltaB are ping-pong backprop buffers sized to the widest layer.
+	// acts[l] holds the row-major rows x sizes[l] activations of layer l:
+	// acts[0] is the input copy, acts[l+1] the post-ReLU activation of
+	// layer l (raw logits for the last layer). deltaA/deltaB ping-pong the
+	// row-major deltas during backprop.
+	acts   [][]float64
+	probs  []float64
 	deltaA []float64
 	deltaB []float64
-
-	// Batch buffers (ForwardBatchInto / ProbsBatchInto / BackwardBatchInto),
-	// grown on first use and whenever a larger batch arrives. bacts[l] holds
-	// the row-major rows x sizes[l] activations of layer l; bdeltaA/bdeltaB
-	// ping-pong the row-major batch deltas during backprop.
-	bacts   [][]float64
-	bprobs  []float64
-	bdeltaA []float64
-	bdeltaB []float64
-	brows   int // rows the batch buffers are currently sized for
+	rows   int // rows the buffers are currently sized for
 }
 
-// NewScratch allocates a scratch buffer set shaped like the network.
+// NewScratch allocates a scratch buffer set shaped like the network and
+// sized for one row; the batch calls grow it on demand.
 func (n *Network) NewScratch() *Scratch {
-	s := &Scratch{acts: make([][]float64, len(n.sizes))}
-	for l, size := range n.sizes {
-		s.acts[l] = make([]float64, size)
-	}
-	s.probs = make([]float64, n.OutputSize())
-	s.deltaA = make([]float64, n.widest())
-	s.deltaB = make([]float64, n.widest())
+	s := &Scratch{}
+	n.ensureBatch(s, 1)
 	return s
 }
 
@@ -259,9 +172,6 @@ func (n *Network) widest() int {
 	return w
 }
 
-// Logits returns the output-layer logits of the most recent ForwardInto.
-func (s *Scratch) Logits() []float64 { return s.acts[len(s.acts)-1] }
-
 // checkScratch verifies that s was built for a network of n's shape.
 //
 //spear:slowpath
@@ -270,169 +180,11 @@ func (n *Network) checkScratch(s *Scratch) error {
 		return fmt.Errorf("%w: scratch does not match network", ErrBadShape)
 	}
 	for l, size := range n.sizes {
-		if len(s.acts[l]) != size {
-			return fmt.Errorf("%w: scratch layer %d has %d units, want %d", ErrBadShape, l, len(s.acts[l]), size)
+		if len(s.acts[l]) != s.rows*size {
+			return fmt.Errorf("%w: scratch layer %d has %d values, want %d rows x %d", ErrBadShape, l, len(s.acts[l]), s.rows, size)
 		}
 	}
 	return nil
-}
-
-// errInputSize and errDLogitsSize build the cold-path size-mismatch errors
-// outside the //spear:noalloc kernels, where fmt is forbidden.
-//
-//spear:slowpath
-func errInputSize(got, want int) error {
-	return fmt.Errorf("%w: got %d, want %d", ErrBadInput, got, want)
-}
-
-//spear:slowpath
-func errDLogitsSize(got, want int) error {
-	return fmt.Errorf("%w: dLogits %d, want %d", ErrBadInput, got, want)
-}
-
-// ForwardInto computes logits for input x into the scratch buffers, with
-// zero heap allocations. The returned slice is owned by the scratch and
-// valid until the next ForwardInto/ProbsInto call on it. The arithmetic is
-// identical to Forward, so results match bit for bit.
-//
-//spear:noalloc
-func (n *Network) ForwardInto(s *Scratch, x []float64) ([]float64, error) {
-	if len(x) != n.sizes[0] {
-		return nil, errInputSize(len(x), n.sizes[0])
-	}
-	if err := n.checkScratch(s); err != nil {
-		return nil, err
-	}
-	copy(s.acts[0], x)
-	return n.forward(s.acts), nil
-}
-
-// errMaskSize builds the cold-path mask-mismatch error outside the softmax
-// kernel, where fmt is forbidden.
-//
-//spear:slowpath
-func errMaskSize(mask, logits int) error {
-	return fmt.Errorf("%w: mask size %d, logits %d", ErrBadInput, mask, logits)
-}
-
-// growProbs replaces an out buffer of the wrong length. Sized callers (the
-// scratch-backed inference paths) never reach it.
-//
-//spear:slowpath
-func growProbs(n int) []float64 { return make([]float64, n) }
-
-// SoftmaxInto is Softmax writing into out, reused when it has the right
-// length. Masked entries are set to probability zero.
-func SoftmaxInto(logits []float64, mask []bool, out []float64) ([]float64, error) {
-	if mask != nil && len(mask) != len(logits) {
-		return nil, errMaskSize(len(mask), len(logits))
-	}
-	if len(out) != len(logits) {
-		out = growProbs(len(logits))
-	}
-	max := math.Inf(-1)
-	any := false
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		any = true
-		if v > max {
-			max = v
-		}
-	}
-	if !any {
-		return nil, ErrAllMasked
-	}
-	var sum float64
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			out[i] = 0
-			continue
-		}
-		e := math.Exp(v - max)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out, nil
-}
-
-// ProbsInto is ForwardInto followed by SoftmaxInto on the scratch's
-// probability buffer: one full inference with zero heap allocations. The
-// returned slice is owned by the scratch.
-//
-//spear:noalloc
-func (n *Network) ProbsInto(s *Scratch, x []float64, mask []bool) ([]float64, error) {
-	logits, err := n.ForwardInto(s, x)
-	if err != nil {
-		return nil, err
-	}
-	return SoftmaxInto(logits, mask, s.probs)
-}
-
-// BackwardInto is Backward using the activations of the scratch's most
-// recent ForwardInto and the scratch's delta buffers, so one training step
-// allocates nothing beyond the trajectory itself.
-//
-//spear:noalloc
-func (n *Network) BackwardInto(s *Scratch, dLogits []float64, g *Grads) error {
-	if len(dLogits) != n.OutputSize() {
-		return errDLogitsSize(len(dLogits), n.OutputSize())
-	}
-	if err := n.checkScratch(s); err != nil {
-		return err
-	}
-	n.backprop(s.acts, dLogits, s.deltaA, s.deltaB, g)
-	return nil
-}
-
-// backprop is the one single-sample backward pass: it accumulates the
-// gradients of the forward pass whose activations are acts into g,
-// ping-ponging the per-layer deltas through bufA and bufB, each at least as
-// long as the widest layer.
-//
-//spear:noalloc
-func (n *Network) backprop(acts [][]float64, dLogits, bufA, bufB []float64, g *Grads) {
-	delta := bufA[:len(dLogits)]
-	spare := bufB
-	copy(delta, dLogits)
-	for l := len(n.weights) - 1; l >= 0; l-- {
-		in := n.sizes[l]
-		prev := acts[l]
-		// Parameter gradients.
-		for j, dj := range delta {
-			g.b[l][j] += dj
-			row := g.w[l][j*in : (j+1)*in]
-			for i, pi := range prev {
-				row[i] += dj * pi
-			}
-		}
-		if l == 0 {
-			break
-		}
-		// Propagate to the previous layer through W and the ReLU.
-		nextDelta := spare[:in]
-		for i := range nextDelta {
-			nextDelta[i] = 0
-		}
-		w := n.weights[l]
-		for j, dj := range delta {
-			row := w[j*in : (j+1)*in]
-			for i := range nextDelta {
-				nextDelta[i] += dj * row[i]
-			}
-		}
-		for i := range nextDelta {
-			if prev[i] <= 0 { // ReLU derivative
-				nextDelta[i] = 0
-			}
-		}
-		delta, spare = nextDelta, delta[:cap(delta)]
-	}
-	g.n++
 }
 
 // Grads accumulates parameter gradients across a mini-batch.
@@ -493,18 +245,6 @@ func (g *Grads) Norm() float64 {
 	return math.Sqrt(sum) / float64(g.n)
 }
 
-// Backward accumulates gradients for one sample given dLogits, the gradient
-// of the loss with respect to the output logits (for policy-gradient /
-// cross-entropy losses with softmax this is (probs - onehot) * scale).
-func (n *Network) Backward(cache *Cache, dLogits []float64, g *Grads) error {
-	if len(dLogits) != n.OutputSize() {
-		return errDLogitsSize(len(dLogits), n.OutputSize())
-	}
-	widest := n.widest()
-	n.backprop(cache.acts, dLogits, make([]float64, widest), make([]float64, widest), g)
-	return nil
-}
-
 // RMSProp hyperparameters (§IV).
 type RMSProp struct {
 	LR  float64 // learning rate α; paper: 1e-4
@@ -554,25 +294,53 @@ func (n *Network) Save(w io.Writer) error {
 }
 
 // Load reads a network previously written by Save. Optimizer accumulators
-// start from zero.
+// start from zero. It rejects a model whose layer sizes are not positive or
+// do not match its parameter counts, that holds a NaN or infinite
+// parameter, or whose logits on the zero input are not finite.
 func Load(r io.Reader) (*Network, error) {
 	var st networkState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("nn: decode: %w", err)
 	}
-	if len(st.Sizes) < 2 || len(st.Weights) != len(st.Sizes)-1 || len(st.Biases) != len(st.Sizes)-1 {
+	if err := checkSizes(st.Sizes); err != nil {
+		return nil, err
+	}
+	if len(st.Weights) != len(st.Sizes)-1 || len(st.Biases) != len(st.Sizes)-1 {
 		return nil, fmt.Errorf("%w: corrupt saved model", ErrBadShape)
 	}
 	n := &Network{sizes: st.Sizes, weights: st.Weights, biases: st.Biases}
 	for l := 0; l < len(st.Sizes)-1; l++ {
 		in, out := st.Sizes[l], st.Sizes[l+1]
-		if len(st.Weights[l]) != in*out || len(st.Biases[l]) != out {
+		// Dividing rather than multiplying keeps huge sizes from
+		// overflowing in*out into a match.
+		w := st.Weights[l]
+		if len(w)%out != 0 || len(w)/out != in || len(st.Biases[l]) != out {
 			return nil, fmt.Errorf("%w: layer %d shape mismatch", ErrBadShape, l)
+		}
+		if !allFinite(w) || !allFinite(st.Biases[l]) {
+			return nil, fmt.Errorf("nn: corrupt saved model: layer %d has a non-finite parameter", l)
 		}
 		n.msW = append(n.msW, make([]float64, in*out))
 		n.msB = append(n.msB, make([]float64, out))
 	}
+	logits, err := n.ForwardInto(n.NewScratch(), make([]float64, n.InputSize()))
+	if err != nil {
+		return nil, err
+	}
+	if !allFinite(logits) {
+		return nil, errors.New("nn: corrupt saved model: non-finite logits on the zero input")
+	}
 	return n, nil
+}
+
+// allFinite reports whether every value is neither NaN nor infinite.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a deep copy of the network, including optimizer state.

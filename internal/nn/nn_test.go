@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -15,6 +16,46 @@ func newNet(t *testing.T, sizes ...int) *Network {
 		t.Fatalf("New: %v", err)
 	}
 	return n
+}
+
+// probsOf returns a copy of the masked action distribution for one input,
+// through the rows=1 case of ProbsBatchInto on a fresh scratch.
+func probsOf(t *testing.T, n *Network, x []float64, mask []bool) []float64 {
+	t.Helper()
+	p, err := n.ProbsBatchInto(n.NewScratch(), x, 1, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), p...)
+}
+
+// crossEntropyGrad accumulates the gradient of -log p[target] for one input
+// into g through the rows=1 batch kernels: dLogits is probs - onehot.
+func crossEntropyGrad(t *testing.T, n *Network, x []float64, mask []bool, target int, g *Grads) {
+	t.Helper()
+	s := n.NewScratch()
+	probs, err := n.ProbsBatchInto(s, x, 1, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := append([]float64(nil), probs...)
+	d[target] -= 1
+	if err := n.BackwardBatchInto(s, d, 1, g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// softmax runs softmaxInto on a buffer of stale values, which every entry,
+// masked ones included, must overwrite.
+func softmax(logits []float64, mask []bool) ([]float64, error) {
+	out := make([]float64, len(logits))
+	for i := range out {
+		out[i] = 99
+	}
+	if err := softmaxInto(logits, mask, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func TestNewValidation(t *testing.T) {
@@ -37,29 +78,29 @@ func TestNewValidation(t *testing.T) {
 func TestForwardShapeAndDeterminism(t *testing.T) {
 	n := newNet(t, 3, 5, 2)
 	x := []float64{0.1, -0.2, 0.3}
-	c1, err := n.Forward(x)
+	c1, err := n.ForwardInto(n.NewScratch(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := n.Forward(x)
+	c2, err := n.ForwardInto(n.NewScratch(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c1.Logits()) != 2 {
-		t.Fatalf("logits len = %d", len(c1.Logits()))
+	if len(c1) != 2 {
+		t.Fatalf("logits len = %d", len(c1))
 	}
-	for i := range c1.Logits() {
-		if c1.Logits()[i] != c2.Logits()[i] {
+	for i := range c1 {
+		if c1[i] != c2[i] {
 			t.Errorf("forward not deterministic at %d", i)
 		}
 	}
-	if _, err := n.Forward([]float64{1}); !errors.Is(err, ErrBadInput) {
+	if _, err := n.ForwardInto(n.NewScratch(), []float64{1}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("bad input err = %v", err)
 	}
 }
 
 func TestSoftmax(t *testing.T) {
-	p, err := Softmax([]float64{1, 1, 1}, nil)
+	p, err := softmax([]float64{1, 1, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +110,7 @@ func TestSoftmax(t *testing.T) {
 		}
 	}
 
-	p, err = Softmax([]float64{5, 0, -5}, nil)
+	p, err = softmax([]float64{5, 0, -5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +127,7 @@ func TestSoftmax(t *testing.T) {
 }
 
 func TestSoftmaxMask(t *testing.T) {
-	p, err := Softmax([]float64{100, 1, 2}, []bool{false, true, true})
+	p, err := softmax([]float64{100, 1, 2}, []bool{false, true, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +138,13 @@ func TestSoftmaxMask(t *testing.T) {
 		t.Errorf("unmasked probs sum = %v", p[1]+p[2])
 	}
 
-	if _, err := Softmax([]float64{1, 2}, []bool{false, false}); !errors.Is(err, ErrAllMasked) {
+	if _, err := softmax([]float64{1, 2}, []bool{false, false}); !errors.Is(err, ErrAllMasked) {
 		t.Errorf("all masked err = %v", err)
-	}
-	if _, err := Softmax([]float64{1, 2}, []bool{true}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("short mask err = %v", err)
 	}
 }
 
 func TestSoftmaxNumericalStability(t *testing.T) {
-	p, err := Softmax([]float64{1e4, 1e4 - 1}, nil)
+	p, err := softmax([]float64{1e4, 1e4 - 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +159,7 @@ func numericalGradient(t *testing.T, n *Network, x []float64, target int, param 
 	t.Helper()
 	const h = 1e-6
 	loss := func() float64 {
-		p, err := n.Probs(x, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return -math.Log(p[target])
+		return -math.Log(probsOf(t, n, x, nil)[target])
 	}
 	orig := *param
 	*param = orig + h
@@ -145,21 +179,8 @@ func TestBackwardGradientCheck(t *testing.T) {
 	}
 	target := 1
 
-	cache, err := n.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dLogits := append([]float64(nil), probs...)
-	dLogits[target] -= 1 // d(-log p[target])/d logits
-
 	g := n.NewGrads()
-	if err := n.Backward(cache, dLogits, g); err != nil {
-		t.Fatal(err)
-	}
+	crossEntropyGrad(t, n, x, nil, target, g)
 
 	// Spot-check a handful of weights and biases in every layer.
 	for l := range n.weights {
@@ -194,27 +215,11 @@ func TestBackwardGradientCheckMasked(t *testing.T) {
 	target := 2
 
 	loss := func() float64 {
-		p, err := n.Probs(x, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return -math.Log(p[target])
+		return -math.Log(probsOf(t, n, x, mask)[target])
 	}
 
-	cache, err := n.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[target] -= 1
 	g := n.NewGrads()
-	if err := n.Backward(cache, d, g); err != nil {
-		t.Fatal(err)
-	}
+	crossEntropyGrad(t, n, x, mask, target, g)
 
 	const h = 1e-6
 	for l := range n.weights {
@@ -242,28 +247,12 @@ func TestTrainingReducesLoss(t *testing.T) {
 	target := 2
 
 	loss := func() float64 {
-		p, err := n.Probs(x, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return -math.Log(p[target])
+		return -math.Log(probsOf(t, n, x, nil)[target])
 	}
 	before := loss()
 	for step := 0; step < 200; step++ {
-		cache, err := n.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probs, err := Softmax(cache.Logits(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := append([]float64(nil), probs...)
-		d[target] -= 1
 		g := n.NewGrads()
-		if err := n.Backward(cache, d, g); err != nil {
-			t.Fatal(err)
-		}
+		crossEntropyGrad(t, n, x, nil, target, g)
 		if err := n.Apply(g, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -281,14 +270,14 @@ func TestGradsAddAndSamples(t *testing.T) {
 	n := newNet(t, 2, 3, 2)
 	g1 := n.NewGrads()
 	g2 := n.NewGrads()
-	cache, err := n.Forward([]float64{1, -1})
-	if err != nil {
+	s := n.NewScratch()
+	if _, err := n.ForwardInto(s, []float64{1, -1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Backward(cache, []float64{0.5, -0.5}, g1); err != nil {
+	if err := n.BackwardBatchInto(s, []float64{0.5, -0.5}, 1, g1); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Backward(cache, []float64{0.5, -0.5}, g2); err != nil {
+	if err := n.BackwardBatchInto(s, []float64{0.5, -0.5}, 1, g2); err != nil {
 		t.Fatal(err)
 	}
 	g1.Add(g2)
@@ -312,10 +301,7 @@ func TestApplyEmptyBatch(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	n := newNet(t, 4, 8, 3)
 	x := []float64{0.1, 0.2, 0.3, 0.4}
-	want, err := n.Probs(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := probsOf(t, n, x, nil)
 
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
@@ -325,10 +311,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	got, err := loaded.Probs(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := probsOf(t, loaded, x, nil)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-15 {
 			t.Errorf("prob %d: %g != %g", i, got[i], want[i])
@@ -340,37 +323,60 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// gobModel encodes a raw model state in the wire format Save writes.
+func gobModel(t *testing.T, st networkState) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// TestLoadRejectsCorruptModels is the regression test for Load accepting
+// models New would refuse: zero-width layers, sizes whose product overflows
+// into a match with the stored weights, non-finite parameters, and finite
+// parameters whose logits overflow on the zero input.
+func TestLoadRejectsCorruptModels(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		st   networkState
+	}{
+		{"zero input layer", networkState{Sizes: []int{0, 3}, Weights: [][]float64{{}}, Biases: [][]float64{{0, 0, 0}}}},
+		{"zero hidden layer", networkState{Sizes: []int{3, 0, 2}, Weights: [][]float64{{}, {}}, Biases: [][]float64{{}, {0, 0}}}},
+		{"negative size", networkState{Sizes: []int{-1, -2}, Weights: [][]float64{{1, 2}}, Biases: [][]float64{{}}}},
+		{"overflowing sizes", networkState{Sizes: []int{1 << 62, 4}, Weights: [][]float64{{}}, Biases: [][]float64{{0, 0, 0, 0}}}},
+		{"NaN weight", networkState{Sizes: []int{1, 2}, Weights: [][]float64{{math.NaN(), 1}}, Biases: [][]float64{{0, 0}}}},
+		{"infinite bias", networkState{Sizes: []int{1, 1}, Weights: [][]float64{{1}}, Biases: [][]float64{{math.Inf(-1)}}}},
+		{"overflowing logits", networkState{
+			Sizes:   []int{1, 1, 1},
+			Weights: [][]float64{{0}, {math.MaxFloat64}},
+			Biases:  [][]float64{{math.MaxFloat64}, {0}},
+		}},
+	} {
+		if _, err := Load(gobModel(t, tc.st)); err == nil {
+			t.Errorf("%s: Load accepted sizes %v", tc.name, tc.st.Sizes)
+		}
+	}
+	ok := networkState{Sizes: []int{1, 2}, Weights: [][]float64{{1, -1}}, Biases: [][]float64{{0, 0.5}}}
+	if _, err := Load(gobModel(t, ok)); err != nil {
+		t.Errorf("valid model rejected: %v", err)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	n := newNet(t, 2, 4, 2)
 	c := n.Clone()
 	x := []float64{1, 2}
 
-	cache, err := c.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[0] -= 1
 	g := c.NewGrads()
-	if err := c.Backward(cache, d, g); err != nil {
-		t.Fatal(err)
-	}
+	crossEntropyGrad(t, c, x, nil, 0, g)
 	if err := c.Apply(g, RMSProp{LR: 0.1, Rho: 0.9, Eps: 1e-8}); err != nil {
 		t.Fatal(err)
 	}
 
-	p1, err := n.Probs(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.Probs(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1 := probsOf(t, n, x, nil)
+	p2 := probsOf(t, c, x, nil)
 	same := true
 	for i := range p1 {
 		if p1[i] != p2[i] {

@@ -2,11 +2,12 @@ package nn
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 )
 
+// TestForwardIntoMatchesForward pins the one-row forward pass to the
+// reference layer loop, bit for bit.
 func TestForwardIntoMatchesForward(t *testing.T) {
 	n := newNet(t, 4, 6, 5, 3)
 	s := n.NewScratch()
@@ -16,18 +17,15 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		cache, err := n.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		acts := referenceForward(n, x)
+		want := acts[len(acts)-1]
 		logits, err := n.ForwardInto(s, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range logits {
-			if logits[i] != cache.Logits()[i] {
-				t.Fatalf("trial %d logit %d: ForwardInto %g, Forward %g",
-					trial, i, logits[i], cache.Logits()[i])
+		for i := range want {
+			if !sameBits(logits[i], want[i]) {
+				t.Fatalf("trial %d logit %d: ForwardInto %g, reference %g", trial, i, logits[i], want[i])
 			}
 		}
 	}
@@ -36,34 +34,35 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 	}
 }
 
+// TestProbsIntoMatchesProbs pins the one-row ProbsBatchInto to the
+// reference forward pass plus softmax, and checks that it returns the
+// scratch's own probs buffer, reused on every call.
 func TestProbsIntoMatchesProbs(t *testing.T) {
 	n := newNet(t, 3, 5, 4)
 	s := n.NewScratch()
 	x := []float64{0.3, -0.7, 1.1}
 	mask := []bool{true, false, true, true}
-	want, err := n.Probs(x, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := n.ProbsInto(s, x, mask)
+	want := referenceProbs(t, n, x, mask)
+	got, err := n.ProbsBatchInto(s, x, 1, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("prob %d: ProbsInto %g, Probs %g", i, got[i], want[i])
+		if !sameBits(got[i], want[i]) {
+			t.Errorf("prob %d: ProbsBatchInto %g, reference %g", i, got[i], want[i])
 		}
 	}
-	// The returned slice is the scratch's own buffer, reused on every call.
-	again, err := n.ProbsInto(s, x, nil)
+	again, err := n.ProbsBatchInto(s, x, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &again[0] != &got[0] {
-		t.Error("ProbsInto did not reuse the scratch probs buffer")
+		t.Error("ProbsBatchInto did not reuse the scratch probs buffer")
 	}
 }
 
+// TestBackwardIntoMatchesBackward pins the one-row BackwardBatchInto, fed by
+// ForwardInto, to the reference one-sample backward pass, bit for bit.
 func TestBackwardIntoMatchesBackward(t *testing.T) {
 	n := newNet(t, 4, 6, 5, 3)
 	s := n.NewScratch()
@@ -73,11 +72,8 @@ func TestBackwardIntoMatchesBackward(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 
-	cache, err := n.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
+	acts := referenceForward(n, x)
+	probs, err := referenceSoftmax(acts[len(acts)-1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,33 +81,38 @@ func TestBackwardIntoMatchesBackward(t *testing.T) {
 	dLogits[1] -= 1
 
 	want := n.NewGrads()
-	if err := n.Backward(cache, dLogits, want); err != nil {
-		t.Fatal(err)
-	}
+	n.referenceBackprop(acts, dLogits, make([]float64, n.widest()), make([]float64, n.widest()), want)
 
 	if _, err := n.ForwardInto(s, x); err != nil {
 		t.Fatal(err)
 	}
 	got := n.NewGrads()
-	if err := n.BackwardInto(s, dLogits, got); err != nil {
+	if err := n.BackwardBatchInto(s, dLogits, 1, got); err != nil {
 		t.Fatal(err)
 	}
+	sameGrads(t, got, want)
+}
 
-	if got.Samples() != want.Samples() {
-		t.Errorf("Samples: BackwardInto %d, Backward %d", got.Samples(), want.Samples())
+// TestSoftmaxIntoMatchesSoftmax pins softmaxInto to the allocating
+// reference softmax: it writes into the given buffer, overwriting stale
+// values in every slot, masked ones included.
+func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
+	logits := []float64{1.5, -0.5, 0.25, 3}
+	mask := []bool{true, true, false, true}
+	want, err := referenceSoftmax(logits, mask)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for l := range want.w {
-		for i := range want.w[l] {
-			if math.Abs(got.w[l][i]-want.w[l][i]) > 1e-15 {
-				t.Fatalf("layer %d weight %d: BackwardInto %g, Backward %g",
-					l, i, got.w[l][i], want.w[l][i])
-			}
-		}
-		for i := range want.b[l] {
-			if math.Abs(got.b[l][i]-want.b[l][i]) > 1e-15 {
-				t.Fatalf("layer %d bias %d: BackwardInto %g, Backward %g",
-					l, i, got.b[l][i], want.b[l][i])
-			}
+	out := make([]float64, len(logits))
+	for i := range out {
+		out[i] = 99
+	}
+	if err := softmaxInto(logits, mask, out); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !sameBits(out[i], want[i]) {
+			t.Errorf("prob %d: softmaxInto %g, reference %g", i, out[i], want[i])
 		}
 	}
 }
@@ -123,30 +124,12 @@ func TestScratchRejectsForeignNetwork(t *testing.T) {
 	if _, err := a.ForwardInto(s, []float64{1, 2, 3}); err == nil {
 		t.Error("scratch from a different topology accepted")
 	}
-}
-
-func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
-	logits := []float64{1.5, -0.5, 0.25, 3}
-	mask := []bool{true, true, false, true}
-	want, err := Softmax(logits, mask)
-	if err != nil {
+	// A foreign scratch grown to several rows is still rejected.
+	if _, err := b.ForwardBatchInto(s, make([]float64, 2*3), 2); err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, len(logits))
-	for i := range out {
-		out[i] = 99 // stale garbage the call must overwrite, including masked slots
-	}
-	got, err := SoftmaxInto(logits, mask, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &out[0] {
-		t.Error("SoftmaxInto did not reuse the provided buffer")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("prob %d: SoftmaxInto %g, Softmax %g", i, got[i], want[i])
-		}
+	if _, err := a.ForwardBatchInto(s, make([]float64, 2*3), 2); err == nil {
+		t.Error("grown scratch from a different topology accepted")
 	}
 }
 
@@ -163,8 +146,9 @@ func TestAddSamples(t *testing.T) {
 	}
 }
 
-// TestForwardIntoZeroAllocs gates the tentpole: after warm-up, the scratch
-// forward pass and masked softmax must not touch the heap.
+// TestForwardIntoZeroAllocs gates the single-decision inference path: on a
+// fresh scratch, the one-row forward pass and masked softmax must not touch
+// the heap, since NewScratch already sizes the buffers for one row.
 func TestForwardIntoZeroAllocs(t *testing.T) {
 	n := newNet(t, 10, 16, 8, 4)
 	s := n.NewScratch()
@@ -172,9 +156,6 @@ func TestForwardIntoZeroAllocs(t *testing.T) {
 	mask := make([]bool, 4)
 	for i := range mask {
 		mask[i] = true
-	}
-	if _, err := n.ProbsInto(s, x, mask); err != nil {
-		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := n.ForwardInto(s, x); err != nil {
@@ -185,15 +166,17 @@ func TestForwardIntoZeroAllocs(t *testing.T) {
 		t.Errorf("ForwardInto allocates %.1f times per run, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := n.ProbsInto(s, x, mask); err != nil {
+		if _, err := n.ProbsBatchInto(s, x, 1, mask); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("ProbsInto allocates %.1f times per run, want 0", allocs)
+		t.Errorf("one-row ProbsBatchInto allocates %.1f times per run, want 0", allocs)
 	}
 }
 
+// TestBackwardIntoZeroAllocs gates the single-sample backward pass, the
+// rows=1 case of BackwardBatchInto.
 func TestBackwardIntoZeroAllocs(t *testing.T) {
 	n := newNet(t, 10, 16, 8, 4)
 	s := n.NewScratch()
@@ -205,11 +188,11 @@ func TestBackwardIntoZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := n.BackwardInto(s, d, g); err != nil {
+		if err := n.BackwardBatchInto(s, d, 1, g); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("BackwardInto allocates %.1f times per run, want 0", allocs)
+		t.Errorf("one-row BackwardBatchInto allocates %.1f times per run, want 0", allocs)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // SimMetrics is the instrumentation bundle of the simulation substrate
 // (simenv.Env and cluster.Space). One bundle is shared by an episode and
-// every clone made from it, so leaf-parallel rollout workers update the
+// every clone made from it, so tree-parallel search workers update the
 // same counters concurrently — all fields are lock-free atomics.
 type SimMetrics struct {
 	// SlotAdvances counts clock advances (Process steps).

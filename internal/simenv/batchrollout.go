@@ -39,15 +39,18 @@ type lane struct {
 }
 
 // BatchRolloutContext owns the reusable per-goroutine state of lock-step
-// batched rollouts: a pool of per-lane scratch episodes, the policy's batch
-// context and the gather buffers handed to ChooseBatch. One goroutine plays
-// k episodes simultaneously, advancing every live episode by one step per
-// batched policy evaluation; finished episodes drop out of the batch. It is
-// not safe for concurrent use — give every worker its own.
+// rollouts: a pool of per-lane scratch episodes, the policy's context and
+// the gather buffers of one round. One goroutine plays k episodes
+// simultaneously, advancing every live episode by one step per round;
+// finished episodes drop out. A BatchPolicy decides a whole round in one
+// ChooseBatch call; any other policy is stepped row by row through the same
+// dispatch RolloutContext uses. It is not safe for concurrent use — give
+// every worker its own.
 type BatchRolloutContext struct {
-	policy BatchPolicy
-	pctx   BatchPolicyContext
-	lanes  []*lane
+	batch BatchPolicy // non-nil when the policy decides whole rounds
+	bctx  BatchPolicyContext
+	one   chooser // the row-by-row dispatch otherwise
+	lanes []*lane
 
 	// Gather buffers for the live rows of one lock-step round.
 	envs  []*Env
@@ -57,13 +60,13 @@ type BatchRolloutContext struct {
 	live  []int // lane index per gathered row
 }
 
-// NewBatchRolloutContext returns a batch rollout context for simulations
-// played by p in batches of up to maxRows episodes.
-func NewBatchRolloutContext(p BatchPolicy, maxRows int) *BatchRolloutContext {
-	if maxRows < 1 {
-		maxRows = 1
+// NewBatchRolloutContext returns a lock-step rollout context for
+// simulations played by p in rounds of up to maxRows episodes.
+func NewBatchRolloutContext(p Policy, maxRows int) *BatchRolloutContext {
+	if bp, ok := p.(BatchPolicy); ok {
+		return &BatchRolloutContext{batch: bp, bctx: bp.NewBatchContext(max(maxRows, 1))}
 	}
-	return &BatchRolloutContext{policy: p, pctx: p.NewBatchContext(maxRows)}
+	return &BatchRolloutContext{one: newChooser(p)}
 }
 
 // ensureLanes grows the lane pool and the gather buffers to k rows. Growth
@@ -97,7 +100,8 @@ func errSeedSlots(seeds, slots int) error {
 // have the same length as seeds). base is not modified. Episode i's result
 // is identical to RolloutFrom(base, rand.New(rand.NewSource(seeds[i]))) with
 // the same policy: lock-stepping changes only how many states share one
-// policy evaluation, not any episode's action sequence. Pool and buffer
+// policy evaluation, not any episode's action sequence. The batch-rows
+// counter counts only rows decided by ChooseBatch. Pool and buffer
 // growth happens in ensureLanes; the live-set compaction rewrites bc.live
 // in place instead of appending.
 //
@@ -134,14 +138,24 @@ func (bc *BatchRolloutContext) RolloutsFrom(base *Env, seeds []int64, makespans 
 			bc.rngs[rows] = ln.rng
 			rows++
 		}
-		// ChooseBatch implementations write into the caller-owned out
-		// slice; the batch rollout alloc gate audits them.
-		//spear:dyncall
-		if err := bc.policy.ChooseBatch(bc.pctx, bc.envs[:rows], bc.legal[:rows], bc.rngs[:rows], bc.out[:rows]); err != nil {
-			return err
-		}
-		if m != nil {
-			m.BatchRows.Add(int64(rows))
+		if bc.batch != nil {
+			// ChooseBatch implementations write into the caller-owned out
+			// slice; the batch rollout alloc gate audits them.
+			//spear:dyncall
+			if err := bc.batch.ChooseBatch(bc.bctx, bc.envs[:rows], bc.legal[:rows], bc.rngs[:rows], bc.out[:rows]); err != nil {
+				return err
+			}
+			if m != nil {
+				m.BatchRows.Add(int64(rows))
+			}
+		} else {
+			for row := 0; row < rows; row++ {
+				a, err := bc.one.choose(bc.envs[row], bc.legal[row], bc.rngs[row])
+				if err != nil {
+					return err
+				}
+				bc.out[row] = a
+			}
 		}
 		// Compact the live set in place: the write index never passes the
 		// read index, so overwriting while ranging is safe.

@@ -26,11 +26,31 @@ func (p batchRandomPolicy) ChooseBatch(_ BatchPolicyContext, envs []*Env, legal 
 	return nil
 }
 
+// ctxRandomPolicy implements ContextPolicy over randomPolicy; ChooseCtx
+// counts its calls in the context, so a test can see which path ran.
+type ctxRandomPolicy struct{ randomPolicy }
+
+func (ctxRandomPolicy) NewContext() PolicyContext { return new(int) }
+
+func (p ctxRandomPolicy) ChooseCtx(ctx PolicyContext, e *Env, legal []Action, rng *rand.Rand) (Action, error) {
+	*ctx.(*int)++
+	return p.Choose(e, legal, rng)
+}
+
+// TestBatchRolloutsMatchSequential pins lock-step rollouts to one-at-a-time
+// rollouts for a BatchPolicy, a ContextPolicy and a plain Policy: the
+// latter two are stepped row by row through RolloutContext's dispatch.
 func TestBatchRolloutsMatchSequential(t *testing.T) {
+	for _, p := range []Policy{batchRandomPolicy{}, ctxRandomPolicy{}, randomPolicy{}} {
+		testBatchRolloutsMatchSequential(t, p)
+	}
+}
+
+func testBatchRolloutsMatchSequential(t *testing.T, p Policy) {
 	g := fanout(t)
 	base := mustEnv(t, g, resource.Of(8, 8), Config{})
-	rc := NewRolloutContext(randomPolicy{})
-	bc := NewBatchRolloutContext(batchRandomPolicy{}, 4)
+	rc := NewRolloutContext(p)
+	bc := NewBatchRolloutContext(p, 4)
 	for _, k := range []int{1, 3, 4, 7} {
 		seeds := make([]int64, k)
 		want := make([]int64, k)
@@ -48,7 +68,7 @@ func TestBatchRolloutsMatchSequential(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Errorf("k=%d episode %d: batched %d, sequential %d", k, i, got[i], want[i])
+				t.Errorf("%T k=%d episode %d: batched %d, sequential %d", p, k, i, got[i], want[i])
 			}
 		}
 	}
@@ -91,23 +111,48 @@ func TestBatchRolloutsReuseClonePoolAndCountRows(t *testing.T) {
 	if got := m.EnvCloneReuse.Load(); got != 3 {
 		t.Fatalf("second batch reused %d clones, want 3", got)
 	}
+	// Rows stepped one at a time are not batch rows.
+	rows := m.BatchRows.Load()
+	for _, p := range []Policy{ctxRandomPolicy{}, randomPolicy{}} {
+		if err := NewBatchRolloutContext(p, 3).RolloutsFrom(base, seeds, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.BatchRows.Load(); got != rows {
+		t.Errorf("row-by-row policies counted %d batch rows", got-rows)
+	}
+}
+
+// TestBatchRolloutsUseContextPolicy checks that a ContextPolicy is stepped
+// through ChooseCtx, not Choose.
+func TestBatchRolloutsUseContextPolicy(t *testing.T) {
+	base := mustEnv(t, fanout(t), resource.Of(8, 8), Config{})
+	bc := NewBatchRolloutContext(ctxRandomPolicy{}, 2)
+	if err := bc.RolloutsFrom(base, []int64{1, 2}, make([]int64, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if calls := *bc.one.pctx.(*int); calls == 0 {
+		t.Error("ChooseCtx never called")
+	}
 }
 
 func TestBatchRolloutsAllocFree(t *testing.T) {
 	g := fanout(t)
 	base := mustEnv(t, g, resource.Of(8, 8), Config{})
-	bc := NewBatchRolloutContext(batchRandomPolicy{}, 4)
-	seeds := []int64{10, 11, 12, 13}
-	out := make([]int64, 4)
-	if err := bc.RolloutsFrom(base, seeds, out); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, p := range []Policy{batchRandomPolicy{}, randomPolicy{}} {
+		bc := NewBatchRolloutContext(p, 4)
+		seeds := []int64{10, 11, 12, 13}
+		out := make([]int64, 4)
 		if err := bc.RolloutsFrom(base, seeds, out); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("RolloutsFrom allocates %.1f times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := bc.RolloutsFrom(base, seeds, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%T: RolloutsFrom allocates %.1f times per run, want 0", p, allocs)
+		}
 	}
 }

@@ -47,23 +47,6 @@ func BenchmarkEnvClone(b *testing.B) {
 	}
 }
 
-func BenchmarkRolloutRandom(b *testing.B) {
-	g := benchGraph(b, 100)
-	base, err := New(g, resource.Of(20, 20), Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := base.Clone()
-		if _, err := Rollout(e, randomPolicy{}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRolloutRandomCtx(b *testing.B) {
 	g := benchGraph(b, 100)
 	base, err := New(g, resource.Of(20, 20), Config{})

@@ -77,7 +77,7 @@ type Config struct {
 	Mode ProcessMode
 	// Metrics, when non-nil, receives step and clone counts. The bundle is
 	// shared by every clone of the episode, so the counters aggregate
-	// across leaf-parallel rollout workers; updates are single atomic
+	// across tree-parallel search workers; updates are single atomic
 	// operations and never allocate.
 	Metrics *obs.SimMetrics
 }
@@ -699,25 +699,16 @@ func errNoLegal(e *Env) error {
 }
 
 // Run drives e with the policy until the episode finishes and returns the
-// resulting schedule. The environment is mutated in place. The clock
-// stamps Schedule.Elapsed only; episode dynamics are fully determined by
-// the policy, state and rng.
+// resulting schedule. The environment is mutated in place. It plays the
+// same episode loop as RolloutContext.Rollout. The clock stamps
+// Schedule.Elapsed only; episode dynamics are fully determined by the
+// policy, state and rng.
 //
 //spear:timing
 func Run(e *Env, p Policy, rng *rand.Rand) (*sched.Schedule, error) {
 	began := time.Now()
-	for !e.Done() {
-		legal := e.LegalActions()
-		if len(legal) == 0 {
-			return nil, errNoLegal(e)
-		}
-		a, err := p.Choose(e, legal, rng)
-		if err != nil {
-			return nil, fmt.Errorf("policy %s: %w", p.Name(), err)
-		}
-		if err := e.Step(a); err != nil {
-			return nil, fmt.Errorf("policy %s chose action %d: %w", p.Name(), a, err)
-		}
+	if _, err := NewRolloutContext(p).Rollout(e, rng); err != nil {
+		return nil, fmt.Errorf("policy %s: %w", p.Name(), err)
 	}
 	s, err := e.Schedule(p.Name())
 	if err != nil {
@@ -725,25 +716,6 @@ func Run(e *Env, p Policy, rng *rand.Rand) (*sched.Schedule, error) {
 	}
 	s.Elapsed = time.Since(began)
 	return s, nil
-}
-
-// Rollout runs the policy to completion and returns only the makespan. It
-// is the hot path of MCTS simulations.
-func Rollout(e *Env, p Policy, rng *rand.Rand) (int64, error) {
-	for !e.Done() {
-		legal := e.LegalActions()
-		if len(legal) == 0 {
-			return 0, errNoLegal(e)
-		}
-		a, err := p.Choose(e, legal, rng)
-		if err != nil {
-			return 0, err
-		}
-		if err := e.Step(a); err != nil {
-			return 0, err
-		}
-	}
-	return e.Makespan(), nil
 }
 
 // PolicyContext is an opaque bundle of per-goroutine buffers owned by a
@@ -764,31 +736,58 @@ type ContextPolicy interface {
 	ChooseCtx(ctx PolicyContext, e *Env, legal []Action, rng *rand.Rand) (Action, error)
 }
 
-// RolloutContext owns the reusable per-goroutine state of the rollout fast
-// path: a scratch episode recycled across simulations, the legal-action
-// buffer, and the policy's own context when the policy supports one. It is
-// not safe for concurrent use — give every rollout worker its own.
-type RolloutContext struct {
+// chooser is the single-decision dispatch both episode loops share: the
+// allocation-free ChooseCtx on the policy's own context when the policy
+// implements ContextPolicy, plain Choose otherwise.
+type chooser struct {
 	policy Policy
 	cp     ContextPolicy // non-nil when policy implements the fast path
 	pctx   PolicyContext
-	env    *Env
-	legal  []Action
+}
+
+// newChooser builds the dispatch for p, allocating its policy context.
+func newChooser(p Policy) chooser {
+	c := chooser{policy: p}
+	if cp, ok := p.(ContextPolicy); ok {
+		c.cp = cp
+		c.pctx = cp.NewContext()
+	}
+	return c
+}
+
+// choose picks one action for e among legal.
+//
+//spear:noalloc
+func (c *chooser) choose(e *Env, legal []Action, rng *rand.Rand) (Action, error) {
+	if c.cp != nil {
+		// Every ContextPolicy in the module chooses into caller-owned
+		// buffers; the rollout alloc gates audit them.
+		//spear:dyncall
+		return c.cp.ChooseCtx(c.pctx, e, legal, rng)
+	}
+	// Plain policies (random, SJF, Tetris rollout policies) pick an
+	// index from legal without allocating.
+	//spear:dyncall
+	return c.policy.Choose(e, legal, rng)
+}
+
+// RolloutContext owns the reusable per-goroutine state of one episode at a
+// time: a scratch episode recycled across simulations, the legal-action
+// buffer, and the policy's own context when the policy supports one. It is
+// not safe for concurrent use — give every rollout worker its own.
+type RolloutContext struct {
+	chooser
+	env   *Env
+	legal []Action
 }
 
 // NewRolloutContext returns a rollout context for simulations played by p.
 func NewRolloutContext(p Policy) *RolloutContext {
-	rc := &RolloutContext{policy: p}
-	if cp, ok := p.(ContextPolicy); ok {
-		rc.cp = cp
-		rc.pctx = cp.NewContext()
-	}
-	return rc
+	return &RolloutContext{chooser: newChooser(p)}
 }
 
 // RolloutFrom copies base into the context's scratch episode and plays the
-// policy to completion, returning the makespan. base is not modified. It is
-// the allocation-free equivalent of Rollout(base.Clone(), p, rng).
+// policy to completion, returning the makespan. base is not modified.
 //
 //spear:noalloc
 func (rc *RolloutContext) RolloutFrom(base *Env, rng *rand.Rand) (int64, error) {
@@ -796,9 +795,8 @@ func (rc *RolloutContext) RolloutFrom(base *Env, rng *rand.Rand) (int64, error) 
 	return rc.Rollout(rc.env, rng)
 }
 
-// Rollout drives e in place to completion like the package-level Rollout,
-// reusing the context's buffers. Results are identical for the same policy,
-// state and rng.
+// Rollout drives e in place to completion, reusing the context's buffers,
+// and returns the makespan.
 //
 //spear:noalloc
 func (rc *RolloutContext) Rollout(e *Env, rng *rand.Rand) (int64, error) {
@@ -807,19 +805,7 @@ func (rc *RolloutContext) Rollout(e *Env, rng *rand.Rand) (int64, error) {
 		if len(rc.legal) == 0 {
 			return 0, errNoLegal(e)
 		}
-		var a Action
-		var err error
-		if rc.cp != nil {
-			// Every ContextPolicy in the module chooses into caller-owned
-			// buffers; the rollout alloc gates audit them.
-			//spear:dyncall
-			a, err = rc.cp.ChooseCtx(rc.pctx, e, rc.legal, rng)
-		} else {
-			// Plain policies (random, SJF, Tetris rollout policies) pick an
-			// index from legal without allocating.
-			//spear:dyncall
-			a, err = rc.policy.Choose(e, rc.legal, rng)
-		}
+		a, err := rc.choose(e, rc.legal, rng)
 		if err != nil {
 			return 0, err
 		}

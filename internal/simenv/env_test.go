@@ -379,7 +379,7 @@ func TestRolloutMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Rollout(e2, greedyPolicy{}, nil)
+	m, err := NewRolloutContext(greedyPolicy{}).Rollout(e2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestRunSurfacesPolicyErrors(t *testing.T) {
 	}
 
 	e = mustEnv(t, g, capacity, Config{})
-	if _, err := Rollout(e, failingPolicy{}, nil); err == nil {
+	if _, err := NewRolloutContext(failingPolicy{}).Rollout(e, nil); err == nil {
 		t.Error("Rollout swallowed the policy error")
 	}
 }

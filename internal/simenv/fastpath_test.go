@@ -146,29 +146,6 @@ func TestVisibleReadyIntoMatchesVisibleReady(t *testing.T) {
 	}
 }
 
-func TestRolloutContextMatchesRollout(t *testing.T) {
-	g := fanout(t)
-	base := mustEnv(t, g, resource.Of(8, 8), Config{})
-	rc := NewRolloutContext(randomPolicy{})
-	for seed := int64(0); seed < 5; seed++ {
-		want, err := Rollout(base.Clone(), randomPolicy{}, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rc.RolloutFrom(base, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("seed %d: RolloutFrom %d, Rollout %d", seed, got, want)
-		}
-	}
-	// The base env must be untouched by rollouts.
-	if base.Done() || base.Now() != 0 {
-		t.Error("RolloutFrom mutated the base env")
-	}
-}
-
 func TestStepAllocFree(t *testing.T) {
 	// After warm-up, a full clone + rollout step loop must not allocate:
 	// this is the per-step half of the tentpole (the policy half is gated

@@ -202,8 +202,8 @@ func TestMetricsWithConcurrentSchedulers(t *testing.T) {
 	done := make(chan error, len(jobs))
 	for i, job := range jobs {
 		go func(i int, job *spear.Job) {
-			// Parallel leaf rollouts inside each scheduler multiply the
-			// concurrency on the shared counters.
+			// Several rollouts per expansion inside each scheduler add
+			// clone and step traffic on the shared counters.
 			s := spear.NewMCTS(spear.MCTSConfig{
 				InitialBudget: 30, MinBudget: 10, Seed: int64(i),
 				RolloutsPerExpansion: 4, Obs: reg,
