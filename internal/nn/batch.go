@@ -1,7 +1,11 @@
 // Batched inference and backprop: the one kernel family every network
 // caller runs, over row-major batches in the scratch's buffers. A single
-// decision is a batch of one row. Inference runs the dense kernel once per
-// row, so row r of a batch is bit-identical to a one-row call on that row.
+// decision is a batch of one row. Inference runs each layer once per row,
+// so row r of a batch is bit-identical to a one-row call on that row. A
+// row whose inputs are mostly exact zeros, in a layer whose weights are
+// finite and whose biases are not −0, runs denseSparse over its compacted
+// nonzero inputs; every other row runs dense. Both are bit-identical to
+// the plain loop (see denseSparse for why skipping zeros is exact).
 // Backprop streams each weight row once per batch and accumulates rows in
 // ascending order, matching one-row calls in row order bit for bit.
 package nn
@@ -28,6 +32,10 @@ func (n *Network) ensureBatch(s *Scratch, rows int) {
 	s.probs = make([]float64, rows*n.OutputSize())
 	s.deltaA = make([]float64, rows*n.widest())
 	s.deltaB = make([]float64, rows*n.widest())
+	if s.idx == nil {
+		s.idx = make([]int, n.widest())
+		s.val = make([]float64, n.widest())
+	}
 	s.rows = rows
 }
 
@@ -90,10 +98,52 @@ func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64
 		in, out := n.sizes[l], n.sizes[l+1]
 		a, c := s.acts[l], s.acts[l+1]
 		for r := 0; r < rows; r++ {
-			dense(w, n.biases[l], a[r*in:r*in+in], c[r*out:r*out+out], l != last)
+			layerRow(w, n.biases[l], a[r*in:r*in+in], c[r*out:r*out+out], l != last, n.skipZeros[l], s)
 		}
 	}
 	return s.acts[len(n.sizes)-1][:rows*n.OutputSize()], nil
+}
+
+// layerRow computes one row of a dense layer, y = relu?(b + W·x). When
+// skip records that the layer meets denseSparse's exactness condition and
+// at most three quarters of x is nonzero, it runs denseSparse over x's
+// nonzero inputs, compacted into the scratch; otherwise it runs dense.
+//
+// The three-quarter bound sits at the low end of where the two kernels
+// break even on the paper's 147→256 layer (BenchmarkLayerKernels, 2-vCPU
+// Xeon): denseSparse does dense's four multiply-adds per nonzero input but
+// gathers its weights through an index and needs the compaction pass, so
+// with every input nonzero it takes 21 µs where dense takes 16–18 µs, and
+// it first wins at 75–85% nonzero. Above the bound dense is as fast or
+// faster; paper states sit far below it (about 18% of the inputs and half
+// of each hidden layer are nonzero).
+//
+//spear:noalloc
+func layerRow(w, b, x, y []float64, relu, skip bool, s *Scratch) {
+	if skip {
+		if k := compactNonzero(x, s.idx, s.val); 4*k <= 3*len(x) {
+			denseSparse(w, b, len(x), s.idx[:k], s.val, y, relu)
+			return
+		}
+	}
+	dense(w, b, x, y, relu)
+}
+
+// compactNonzero writes the positions of x's nonzero entries (in ascending
+// order) to idx and their values to val, both at least len(x) long, and
+// returns how many there are. It is branch-free: every entry is written
+// at position k, and k advances only past the nonzero ones (those whose
+// bits, shifted past the sign, are not all zero).
+//
+//spear:noalloc
+func compactNonzero(x []float64, idx []int, val []float64) int {
+	k := 0
+	for i, v := range x {
+		idx[k], val[k] = i, v
+		u := math.Float64bits(v) << 1
+		k += int((u | -u) >> 63)
+	}
+	return k
 }
 
 // ForwardInto computes the logits of one input vector: it is

@@ -26,6 +26,11 @@ type Network struct {
 	// RMSProp accumulators.
 	msW [][]float64
 	msB [][]float64
+
+	// skipZeros[l] records that layer l may skip its zero inputs without
+	// changing a bit: every weight is finite and no bias is −0 (see
+	// denseSparse). New, Load, Apply and Clone recompute it.
+	skipZeros []bool
 }
 
 // Errors returned by the package.
@@ -54,6 +59,7 @@ func New(sizes []int, rng *rand.Rand) (*Network, error) {
 		n.msW = append(n.msW, make([]float64, in*out))
 		n.msB = append(n.msB, make([]float64, out))
 	}
+	n.refreshSkipZeros()
 	return n, nil
 }
 
@@ -124,6 +130,78 @@ func dense(w, b, x, next []float64, relu bool) {
 	}
 }
 
+// denseSparse is dense over the nonzero inputs only: idx lists in
+// ascending order the positions (each below in, the layer's input width)
+// of every input that is not ±0, and val[k] is the input at idx[k]. It keeps
+// dense's four-output tile, bias start, ascending-i order and ReLU, and is
+// bit-identical to dense on the full input when every weight is finite and
+// no bias is −0. Each skipped term is then w·(±0) = ±0, and adding ±0 to a
+// sum changes it only when the sum is −0. In round-to-nearest an addition
+// returns −0 only when both operands are −0, so a sum that starts at a
+// bias other than −0 never becomes −0. For the same reason the ReLU can be
+// max(s, 0), which equals reluClamp on every sum but −0 and compiles
+// without a branch.
+//
+//spear:noalloc
+func denseSparse(w, b []float64, in int, idx []int, val, next []float64, relu bool) {
+	val = val[:len(idx)]
+	for len(next) >= 4 {
+		r0 := w[:in]
+		r1 := w[in:][:in]
+		r2 := w[2*in:][:in]
+		r3 := w[3*in:][:in]
+		s0, s1, s2, s3 := b[0], b[1], b[2], b[3]
+		// sparse:tile begin
+		for k, i := range idx {
+			xi := val[k]
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		// sparse:tile end
+		if relu {
+			s0, s1, s2, s3 = max(s0, 0), max(s1, 0), max(s2, 0), max(s3, 0)
+		}
+		next[0], next[1], next[2], next[3] = s0, s1, s2, s3
+		w, b, next = w[4*in:], b[4:], next[4:]
+	}
+	for j := range next {
+		row := w[j*in:][:in]
+		sum := b[j]
+		for k, i := range idx {
+			sum += row[i] * val[k]
+		}
+		if relu {
+			sum = max(sum, 0)
+		}
+		next[j] = sum
+	}
+}
+
+// canSkipZeros reports whether a layer with weights w and biases b meets
+// denseSparse's exactness condition: every weight finite, no bias −0.
+func canSkipZeros(w, b []float64) bool {
+	if !allFinite(w) {
+		return false
+	}
+	for _, v := range b {
+		if math.Float64bits(v) == 1<<63 { // −0: the sign bit alone
+			return false
+		}
+	}
+	return true
+}
+
+// refreshSkipZeros recomputes skipZeros from the current parameters; every
+// function that creates or changes parameters calls it.
+func (n *Network) refreshSkipZeros() {
+	n.skipZeros = n.skipZeros[:0]
+	for l, w := range n.weights {
+		n.skipZeros = append(n.skipZeros, canSkipZeros(w, n.biases[l]))
+	}
+}
+
 // reluClamp zeroes negative sums and passes everything else (−0 and NaN
 // included) through unchanged.
 //
@@ -151,7 +229,11 @@ type Scratch struct {
 	probs  []float64
 	deltaA []float64
 	deltaB []float64
-	rows   int // rows the buffers are currently sized for
+	// idx/val hold one row's nonzero inputs for denseSparse, compacted
+	// just before each layer runs; each is as long as the widest layer.
+	idx  []int
+	val  []float64
+	rows int // rows the buffers are currently sized for
 }
 
 // NewScratch allocates a scratch buffer set shaped like the network and
@@ -274,6 +356,7 @@ func (n *Network) Apply(g *Grads, opt RMSProp) error {
 			n.biases[l][i] -= opt.LR * grad / (math.Sqrt(n.msB[l][i]) + opt.Eps)
 		}
 	}
+	n.refreshSkipZeros()
 	return nil
 }
 
@@ -323,6 +406,7 @@ func Load(r io.Reader) (*Network, error) {
 		n.msW = append(n.msW, make([]float64, in*out))
 		n.msB = append(n.msB, make([]float64, out))
 	}
+	n.refreshSkipZeros()
 	logits, err := n.ForwardInto(n.NewScratch(), make([]float64, n.InputSize()))
 	if err != nil {
 		return nil, err
@@ -357,5 +441,6 @@ func (n *Network) Clone() *Network {
 	c.biases = cp(n.biases)
 	c.msW = cp(n.msW)
 	c.msB = cp(n.msB)
+	c.refreshSkipZeros()
 	return c
 }

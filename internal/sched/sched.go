@@ -5,6 +5,7 @@
 package sched
 
 import (
+	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 
 	"spear/internal/cluster"
 	"spear/internal/dag"
+	"spear/internal/resource"
 )
 
 // Schedule JSON documents are versioned by the "format" field. A document
@@ -184,23 +186,63 @@ func Validate(g *dag.Graph, spec cluster.Spec, s *Schedule) error {
 		return fmt.Errorf("%w: recorded %d, actual %d", ErrWrongMakespan, s.Makespan, makespan)
 	}
 
-	space, err := cluster.NewMulti(spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	// Place in start order for stable error messages.
+	// Place in start order for stable error messages. Every task already
+	// placed on a machine starts no later than the one being placed, so
+	// that machine's load can only fall over the new task's lifetime and
+	// checking it at the start is enough. The check keeps only the tasks
+	// still running, so its cost does not depend on how far apart the
+	// starts are.
 	order := make([]dag.TaskID, n)
 	for i := range order {
 		order[i] = dag.TaskID(i)
 	}
 	sort.Slice(order, func(i, j int) bool { return start[order[i]] < start[order[j]] })
+	running := make([]runningSet, len(spec))
+	load := make([]resource.Vector, len(spec))
+	for m, mc := range spec {
+		load[m] = resource.New(mc.Capacity.Dims())
+	}
 	for _, id := range order {
 		task := g.Task(id)
-		if err := space.Place(machine[id], start[id], task.Demand, task.Runtime); err != nil {
-			return fmt.Errorf("%w: task %d at %d: %v", ErrOverCapacity, id, start[id], err)
+		m, at := machine[id], start[id]
+		r := &running[m]
+		for r.Len() > 0 && (*r)[0].finish <= at {
+			_ = load[m].SubInPlace(heap.Pop(r).(runningTask).demand) //spear:ignoreerr(this demand was added with the same dims below)
 		}
+		if err := load[m].AddInPlace(task.Demand); err != nil {
+			return fmt.Errorf("%w: task %d at %d: %v", ErrOverCapacity, id, at, err)
+		}
+		if !load[m].FitsWithin(spec[m].Capacity) {
+			return fmt.Errorf("%w: task %d at %d: machine %d would hold %v of %v",
+				ErrOverCapacity, id, at, m, load[m], spec[m].Capacity)
+		}
+		heap.Push(r, runningTask{finish: at + task.Runtime, demand: task.Demand})
 	}
 	return nil
+}
+
+// runningTask is a placed task still holding its demand in Validate's
+// capacity check.
+type runningTask struct {
+	finish int64
+	demand resource.Vector
+}
+
+// runningSet is a min-heap of running tasks on their finish times.
+type runningSet []runningTask
+
+func (r runningSet) Len() int           { return len(r) }
+func (r runningSet) Less(i, j int) bool { return r[i].finish < r[j].finish }
+func (r runningSet) Swap(i, j int)      { r[i], r[j] = r[j], r[i] }
+func (r *runningSet) Push(x any)        { *r = append(*r, x.(runningTask)) }
+func (r *runningSet) Pop() any {
+	old := *r
+	t := old[len(old)-1]
+	*r = old[:len(old)-1]
+	return t
 }
 
 // StartTimes returns the per-task start times indexed by TaskID. It assumes

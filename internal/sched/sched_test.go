@@ -89,6 +89,29 @@ func TestValidateCapacityViolation(t *testing.T) {
 	}
 }
 
+// TestValidateFarOffStarts checks schedules whose starts lie far apart.
+// Validate's capacity check follows only the running tasks, so a start
+// near the end of the int64 range costs no more than a start at 0 (a
+// per-slot occupancy grid would grow to the latest start).
+func TestValidateFarOffStarts(t *testing.T) {
+	b := dag.NewBuilder(1)
+	b.AddTask("x", 3, resource.Of(4))
+	b.AddTask("y", 3, resource.Of(4))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const far = 1 << 62
+	apart := &Schedule{Placements: []Placement{{Task: 0, Start: 0}, {Task: 1, Start: far}}, Makespan: far + 3}
+	if err := Validate(g, cluster.Single(resource.Of(5)), apart); err != nil {
+		t.Errorf("far-apart tasks: err = %v, want nil", err)
+	}
+	overlap := &Schedule{Placements: []Placement{{Task: 0, Start: far}, {Task: 1, Start: far + 2}}, Makespan: far + 5}
+	if err := Validate(g, cluster.Single(resource.Of(5)), overlap); !errors.Is(err, ErrOverCapacity) {
+		t.Errorf("far-off overlap: err = %v, want ErrOverCapacity", err)
+	}
+}
+
 func TestStartTimes(t *testing.T) {
 	_, s := validChain(t)
 	starts := s.StartTimes(2)

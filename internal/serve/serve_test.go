@@ -33,7 +33,7 @@ func testConfig(seed int64) serve.Config {
 	}
 }
 
-func mustRun(t *testing.T, cfg serve.Config) *serve.RunLog {
+func mustRun(t testing.TB, cfg serve.Config) *serve.RunLog {
 	t.Helper()
 	s, err := serve.New(cfg, baselines.NewCPScheduler(), nil)
 	if err != nil {
